@@ -585,7 +585,7 @@ int main() {
     spec.context_switch = 0;
     SimMachine machine(&sim, spec, "m0");
     dispatch_ns = MeasureNsPerOp(kIters / 10, [&](int) {
-      machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, 1000, nullptr);
+      machine.SpawnThread(TenantClass::kPrimary, JobId{}, 1000, nullptr);
       sim.RunUntilEmpty();
     });
   }

@@ -1,51 +1,10 @@
 #include "src/indexserve/index_server.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace perfiso {
-
-struct IndexServer::QueryState {
-  QueryState(std::shared_ptr<int64_t> live, std::shared_ptr<VectorPool<ChunkSlot>> pool)
-      : live_counter(std::move(live)), chunk_pool(std::move(pool)) {
-    ++*live_counter;
-  }
-  ~QueryState() {
-    --*live_counter;
-    // Park the slot vector (with its capacity) for the next query. The pool
-    // is held by shared_ptr, so a state outliving its server still has a
-    // valid place to return the carcass to.
-    chunk_pool->Put(std::move(chunks));
-  }
-  QueryState(const QueryState&) = delete;
-  QueryState& operator=(const QueryState&) = delete;
-
-  // Destruction tracker shared with the owning server; lets tests assert that
-  // no query state survives a drained simulation (lifetime regression hook).
-  std::shared_ptr<int64_t> live_counter;
-  std::shared_ptr<VectorPool<ChunkSlot>> chunk_pool;
-  QueryWork work;
-  QueryDoneFn done;
-  Rng rng{0};
-  SimTime arrival = 0;
-  uint64_t live_key = 0;  // key in the server's live-query registry
-  int chunks_left = 0;
-  // One slot per fan-out chunk (flags, attempt count, armed timers); the
-  // vector itself is recycled through chunk_pool.
-  std::vector<ChunkSlot> chunks;
-  // Degrade-deadline timer (armed only when degrade_deadline > 0).
-  EventHandle deadline_event;
-  // Set when the deadline closed the fan-out at partial coverage: late chunk
-  // completions are ignored from then on.
-  bool fanout_closed = false;
-  bool degraded = false;
-  int chunks_served_at_close = 0;
-  int snippet_reads_left = 0;
-  bool finished = false;
-  uint64_t trace_ctx = 0;
-  bool owns_trace = false;  // minted here (standalone) vs adopted from the TLA
-};
 
 namespace {
 
@@ -76,6 +35,51 @@ void IndexServer::ResetStats() {
 void IndexServer::EnableTracing(Tracer* tracer, int process) {
   tracer_ = tracer;
   track_ = tracer->RegisterTrack(process, "indexserve");
+}
+
+IndexServer::QueryState& IndexServer::AcquireSlot() {
+  uint32_t slot = static_cast<uint32_t>(queries_.size());
+  if (free_slots_.empty()) {
+    queries_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  QueryState& q = queries_[slot];
+  // Fresh per-query fields; the generation and the chunk vector's capacity
+  // carry over from the slot's previous occupant.
+  const uint32_t generation = q.id.generation;
+  std::vector<ChunkSlot> chunks = std::move(q.chunks);
+  q = QueryState{};
+  q.id = {slot, generation};
+  q.live = true;
+  q.seq = next_seq_++;
+  q.chunks = std::move(chunks);
+  return q;
+}
+
+IndexServer::QueryState* IndexServer::Find(QueryId id) {
+  QueryState& q = queries_[id.slot];
+  return q.id.generation == id.generation ? &q : nullptr;
+}
+
+void IndexServer::QueryState::CancelTimers(Simulator* sim) {
+  for (ChunkSlot& slot : chunks) {
+    sim->CancelOwned(slot.hedge_event);
+    sim->CancelOwned(slot.retry_event);
+  }
+  sim->CancelOwned(deadline_event);
+}
+
+IndexServer::QueryDoneFn IndexServer::Release(QueryState& q) {
+  q.CancelTimers(machine_->sim());
+  --inflight_;
+  QueryDoneFn done = std::move(q.done);
+  q.done = nullptr;
+  q.live = false;
+  ++q.id.generation;
+  free_slots_.push_back(q.id.slot);
+  return done;
 }
 
 void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
@@ -117,161 +121,140 @@ void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
     return;
   }
   ++inflight_;
-  // allocate_shared + the arena allocator puts the state and its control
-  // block in one recycled block: the steady-state query path performs no
-  // heap allocation for query state.
-  auto q = std::allocate_shared<QueryState>(ArenaAllocator<QueryState>(query_arena_),
-                                            live_query_states_, chunk_pool_);
-  q->work = work;
-  q->done = std::move(done);
+  QueryState& q = AcquireSlot();
+  q.work = work;
+  q.done = std::move(done);
   // Mix in the server identity: each machine holds a different index
   // partition, so the same query does *different* work on each leaf. This is
   // what makes the MLA see a max over independent leaf latencies [15].
-  q->rng = Rng(work.seed ^ (seed_ * 0x9e3779b97f4a7c15ULL));
-  q->arrival = machine_->sim()->Now();
+  q.rng = Rng(work.seed ^ (seed_ * 0x9e3779b97f4a7c15ULL));
+  q.arrival = machine_->sim()->Now();
   if (work.trace_ctx != 0) {
-    q->trace_ctx = work.trace_ctx;
+    q.trace_ctx = work.trace_ctx;
   } else if (tracer_ != nullptr) {
-    q->trace_ctx = tracer_->BeginTrace("isq", q->arrival);
-    q->owns_trace = true;
+    q.trace_ctx = tracer_->BeginTrace("isq", q.arrival);
+    q.owns_trace = true;
   }
-  q->chunks_left = work.fanout;
-  q->chunks = chunk_pool_->Get(static_cast<size_t>(work.fanout));
-  if (config_.chunk_retry.enabled) {
-    for (ChunkSlot& slot : q->chunks) {
-      slot.attempts = 1;
-    }
-  }
-  q->live_key = next_live_key_++;
-  live_queries_.emplace(q->live_key, q);
+  q.chunks_left = work.fanout;
+  ChunkSlot fresh;
+  fresh.attempts = config_.chunk_retry.enabled ? 1 : 0;
+  q.chunks.assign(static_cast<size_t>(work.fanout), fresh);
 
   // Network receive path runs in kernel context (OS tenant, outside the job).
-  machine_->SpawnThread("is-recv", TenantClass::kOs, JobId{},
-                        ScaledUs(config_.receive_cpu_us, 1.0),
-                        [this, q](SimTime) { StartParse(q); }, q->trace_ctx);
+  machine_->SpawnThread(
+      TenantClass::kOs, JobId{}, ScaledUs(config_.receive_cpu_us, 1.0),
+      [this, id = q.id](SimTime) {
+        if (QueryState* live = Find(id)) {
+          StartParse(*live);
+        }
+      },
+      q.trace_ctx);
 }
 
-bool IndexServer::ExpireIfOverdue(const std::shared_ptr<QueryState>& q) {
-  if (q->finished) {
-    return true;
-  }
+bool IndexServer::ExpireIfOverdue(QueryState& q) {
   // Server-side shedding: once a query is past its deadline, further work is
   // wasted; the paper observes that heavy drops *reduce* primary CPU
   // utilization (§6.1.2), which implies abandoned processing.
-  if (machine_->sim()->Now() - q->arrival <= config_.timeout) {
+  const SimTime now = machine_->sim()->Now();
+  if (now - q.arrival <= config_.timeout) {
     return false;
   }
-  q->finished = true;
-  --inflight_;
   ++stats_.dropped_timeout;
-  if (q->done) {
-    QueryResult result;
-    result.id = q->work.id;
-    result.submit_time = q->arrival;
-    result.finish_time = machine_->sim()->Now();
-    result.latency_ms = ToMillis(result.finish_time - q->arrival);
-    result.dropped = true;
-    q->done(result);
+  QueryResult result;
+  result.id = q.work.id;
+  result.submit_time = q.arrival;
+  result.finish_time = now;
+  result.latency_ms = ToMillis(now - q.arrival);
+  result.dropped = true;
+  const bool owns_trace = q.owns_trace;
+  const uint64_t trace_ctx = q.trace_ctx;
+  QueryDoneFn done = Release(q);
+  if (done) {
+    done(result);
   }
-  if (q->owns_trace) {
-    tracer_->EndTrace(q->trace_ctx, machine_->sim()->Now(), /*dropped=*/true);
+  if (owns_trace) {
+    tracer_->EndTrace(trace_ctx, now, /*dropped=*/true);
   }
-  // Terminal state: release the completion callback (it may capture caller
-  // state) so the query holds nothing beyond its own fields.
-  q->done = nullptr;
-  DetachTerminal(q);
   return true;
 }
 
-void IndexServer::CancelHedges(const std::shared_ptr<QueryState>& q) {
-  for (ChunkSlot& slot : q->chunks) {
-    machine_->sim()->CancelOwned(slot.hedge_event);
-  }
-}
-
-void IndexServer::CancelRetries(const std::shared_ptr<QueryState>& q) {
-  for (ChunkSlot& slot : q->chunks) {
-    machine_->sim()->CancelOwned(slot.retry_event);
-  }
-}
-
-void IndexServer::DetachTerminal(const std::shared_ptr<QueryState>& q) {
-  CancelHedges(q);
-  CancelRetries(q);
-  machine_->sim()->CancelOwned(q->deadline_event);
-  live_queries_.erase(q->live_key);
-}
-
-void IndexServer::StartParse(const std::shared_ptr<QueryState>& q) {
+void IndexServer::StartParse(QueryState& q) {
   if (ExpireIfOverdue(q)) {
     return;
   }
   // Parse and query-understanding run as one burst on the same pool thread
   // (no intermediate wake point).
   machine_->SpawnThread(
-      "is-parse", TenantClass::kPrimary, job_,
-      ScaledUs(config_.parse_cpu_us + config_.understand_cpu_us, q->work.size_factor),
-      [this, q](SimTime) { StartFanout(q); }, q->trace_ctx);
+      TenantClass::kPrimary, job_,
+      ScaledUs(config_.parse_cpu_us + config_.understand_cpu_us, q.work.size_factor),
+      [this, id = q.id](SimTime) {
+        if (QueryState* live = Find(id)) {
+          StartFanout(*live);
+        }
+      },
+      q.trace_ctx);
 }
 
-void IndexServer::StartFanout(const std::shared_ptr<QueryState>& q) {
+void IndexServer::StartFanout(QueryState& q) {
   if (ExpireIfOverdue(q)) {
     return;
   }
   // All chunk workers wake within the same instant — this is the burst the
   // buffer cores exist to absorb.
-  for (int chunk = 0; chunk < q->work.fanout; ++chunk) {
+  for (int chunk = 0; chunk < q.work.fanout; ++chunk) {
     StartChunk(q, chunk, /*is_hedge=*/false);
   }
   if (config_.degrade_deadline > 0) {
-    const SimTime deadline = q->arrival + config_.degrade_deadline;
+    const SimTime deadline = q.arrival + config_.degrade_deadline;
     if (deadline > machine_->sim()->Now()) {
-      q->deadline_event = machine_->sim()->Schedule(deadline, [this, q] {
-        q->deadline_event = EventHandle();
-        MaybeDegrade(q);
+      q.deadline_event = machine_->sim()->Schedule(deadline, [this, id = q.id] {
+        if (QueryState* live = Find(id)) {
+          live->deadline_event = EventHandle();
+          MaybeDegrade(*live);
+        }
       });
     }
   }
 }
 
-void IndexServer::MaybeDegrade(const std::shared_ptr<QueryState>& q) {
-  if (q->finished || q->fanout_closed || q->chunks_left == 0) {
+void IndexServer::MaybeDegrade(QueryState& q) {
+  if (q.fanout_closed || q.chunks_left == 0) {
     return;
   }
-  const int total = q->work.fanout;
-  const int served = total - q->chunks_left;
+  const int total = q.work.fanout;
+  const int served = total - q.chunks_left;
   if (static_cast<double>(served) < config_.min_chunk_coverage * static_cast<double>(total)) {
     // Below the k-of-n floor: keep waiting — hedges/retries may still recover
     // the missing chunks, and the client timeout is the backstop.
     return;
   }
-  q->fanout_closed = true;
-  q->degraded = true;
-  q->chunks_served_at_close = served;
+  q.fanout_closed = true;
+  q.degraded = true;
+  q.chunks_served_at_close = served;
   // The open attempts are abandoned: their timers leave the event queue and
   // late completions are ignored by the fanout_closed guard.
-  CancelHedges(q);
-  CancelRetries(q);
+  q.CancelTimers(machine_->sim());
   if (tracer_ != nullptr) {
     tracer_->Instant("query.degraded", track_, machine_->sim()->Now());
   }
   StartRank(q);
 }
 
-void IndexServer::StartChunk(const std::shared_ptr<QueryState>& q, int chunk, bool is_hedge) {
+void IndexServer::StartChunk(QueryState& q, int chunk, bool is_hedge) {
   const SimDuration cpu = FromMicros(std::max(
-      1.0, q->rng.LogNormal(std::log(config_.chunk_cpu_median_us), config_.chunk_cpu_sigma) *
-               q->work.size_factor));
-  const bool miss = q->rng.Bernoulli(config_.chunk_miss_rate);
+      1.0, q.rng.LogNormal(std::log(config_.chunk_cpu_median_us), config_.chunk_cpu_sigma) *
+               q.work.size_factor));
+  const bool miss = q.rng.Bernoulli(config_.chunk_miss_rate);
 
   machine_->SpawnThread(
-      "is-chunk", TenantClass::kPrimary, job_, cpu,
-      [this, q, chunk, miss](SimTime) {
-        if (q->finished) {
+      TenantClass::kPrimary, job_, cpu,
+      [this, id = q.id, chunk, miss](SimTime) {
+        QueryState* live = Find(id);
+        if (live == nullptr) {
           return;
         }
         if (!miss) {
-          ChunkDone(q, chunk);
+          ChunkDone(*live, chunk);
           return;
         }
         IoRequest read;
@@ -279,16 +262,24 @@ void IndexServer::StartChunk(const std::shared_ptr<QueryState>& q, int chunk, bo
         read.op = IoOp::kRead;
         read.bytes = config_.chunk_read_bytes;
         read.sequential = false;
-        read.trace_ctx = q->trace_ctx;
-        read.on_complete = [this, q, chunk](SimTime) {
+        read.trace_ctx = live->trace_ctx;
+        // The post-read burst runs even if the query has finished by the time
+        // the read completes, so its cost and trace context are captured now
+        // rather than read back through a slot that may have been reused.
+        read.on_complete = [this, id, chunk, size_factor = live->work.size_factor,
+                            trace_ctx = live->trace_ctx](SimTime) {
           machine_->SpawnThread(
-              "is-chunk-post", TenantClass::kPrimary, job_,
-              ScaledUs(config_.chunk_post_read_cpu_us, q->work.size_factor),
-              [this, q, chunk](SimTime) { ChunkDone(q, chunk); }, q->trace_ctx);
+              TenantClass::kPrimary, job_, ScaledUs(config_.chunk_post_read_cpu_us, size_factor),
+              [this, id, chunk](SimTime) {
+                if (QueryState* done = Find(id)) {
+                  ChunkDone(*done, chunk);
+                }
+              },
+              trace_ctx);
         };
         ssd_->Submit(std::move(read));
       },
-      q->trace_ctx);
+      q.trace_ctx);
 
   if (!is_hedge) {
     ++chunks_started_;
@@ -300,76 +291,83 @@ void IndexServer::StartChunk(const std::shared_ptr<QueryState>& q, int chunk, bo
   // hedge_delay, launch a duplicate lookup and take whichever finishes first.
   // The hedge budget caps the added load under systemic slowness.
   if (!is_hedge && config_.hedging_enabled) {
-    q->chunks[static_cast<size_t>(chunk)].hedge_event =
-        machine_->sim()->ScheduleAfter(config_.hedge_delay, [this, q, chunk] {
-          ChunkSlot& slot = q->chunks[static_cast<size_t>(chunk)];
-          // The timer just fired; clear the stored handle so a later
-          // ChunkDone/CancelHedges pass cannot poke at the recycled slot.
+    q.chunks[static_cast<size_t>(chunk)].hedge_event =
+        machine_->sim()->ScheduleAfter(config_.hedge_delay, [this, id = q.id, chunk] {
+          QueryState* live = Find(id);
+          if (live == nullptr) {
+            return;
+          }
+          ChunkSlot& slot = live->chunks[static_cast<size_t>(chunk)];
           slot.hedge_event = EventHandle();
           const bool budget_ok =
               static_cast<double>(stats_.hedges_issued) <
               config_.hedge_budget_fraction * static_cast<double>(chunks_started_);
-          if (!q->finished && !slot.done && !slot.hedged && budget_ok) {
+          if (!slot.done && !slot.hedged && budget_ok) {
             slot.hedged = true;
             ++stats_.hedges_issued;
             if (tracer_ != nullptr) {
               tracer_->Instant("hedge.issued", track_, machine_->sim()->Now());
             }
-            StartChunk(q, chunk, /*is_hedge=*/true);
+            StartChunk(*live, chunk, /*is_hedge=*/true);
           }
         });
   }
 }
 
-void IndexServer::ChunkDone(const std::shared_ptr<QueryState>& q, int chunk) {
-  ChunkSlot& slot = q->chunks[static_cast<size_t>(chunk)];
-  if (q->finished || q->fanout_closed || slot.done) {
-    return;  // expired, degraded, or the other copy of a hedged lookup finished
+void IndexServer::ChunkDone(QueryState& q, int chunk) {
+  ChunkSlot& slot = q.chunks[static_cast<size_t>(chunk)];
+  if (q.fanout_closed || slot.done) {
+    return;  // degraded, or the other copy of a hedged lookup finished
   }
   slot.done = true;
   // The lookup beat its hedge timer (the common case): pull the timer out of
   // the event queue instead of letting it fire as a dead no-op, and drop the
-  // handle so the eventual CancelHedges sweep doesn't cancel it twice.
+  // handle so a later CancelTimers sweep doesn't cancel it twice.
   machine_->sim()->CancelOwned(slot.hedge_event);
   machine_->sim()->CancelOwned(slot.retry_event);
-  if (--q->chunks_left == 0) {
-    machine_->sim()->CancelOwned(q->deadline_event);
+  if (--q.chunks_left == 0) {
+    machine_->sim()->CancelOwned(q.deadline_event);
     StartRank(q);
   }
 }
 
-void IndexServer::ArmRetryTimer(const std::shared_ptr<QueryState>& q, int chunk) {
-  q->chunks[static_cast<size_t>(chunk)].retry_event =
-      machine_->sim()->ScheduleAfter(config_.chunk_retry.timeout, [this, q, chunk] {
-        q->chunks[static_cast<size_t>(chunk)].retry_event = EventHandle();
-        OnChunkTimeout(q, chunk);
+void IndexServer::ArmRetryTimer(QueryState& q, int chunk) {
+  q.chunks[static_cast<size_t>(chunk)].retry_event =
+      machine_->sim()->ScheduleAfter(config_.chunk_retry.timeout, [this, id = q.id, chunk] {
+        if (QueryState* live = Find(id)) {
+          OnChunkTimeout(*live, chunk);
+        }
       });
 }
 
-void IndexServer::OnChunkTimeout(const std::shared_ptr<QueryState>& q, int chunk) {
-  ChunkSlot& slot = q->chunks[static_cast<size_t>(chunk)];
-  if (q->finished || q->fanout_closed || slot.done) {
+void IndexServer::OnChunkTimeout(QueryState& q, int chunk) {
+  ChunkSlot& slot = q.chunks[static_cast<size_t>(chunk)];
+  slot.retry_event = EventHandle();  // the per-attempt timer that just fired
+  if (q.fanout_closed || slot.done) {
     return;
   }
   ++stats_.timeouts_detected;
   const RetryPolicy& policy = config_.chunk_retry;
-  const int attempts = slot.attempts;
-  if (attempts >= policy.max_attempts) {
+  if (slot.attempts >= policy.max_attempts) {
     ++stats_.retry_exhausted;
     return;  // budget spent; the degrade deadline / client timeout take over
   }
   // Capped exponential backoff with jitter from the query's own stream.
-  const SimDuration delay = ComputeBackoff(policy, attempts - 1, &q->rng);
-  if (machine_->sim()->Now() + delay >= q->arrival + config_.timeout) {
+  const SimDuration delay = ComputeBackoff(policy, slot.attempts - 1, &q.rng);
+  if (machine_->sim()->Now() + delay >= q.arrival + config_.timeout) {
     // A retry that cannot answer before the client gives up is wasted work.
     ++stats_.retries_suppressed_deadline;
     return;
   }
   slot.retry_event =
-      machine_->sim()->ScheduleAfter(delay, [this, q, chunk] {
-        ChunkSlot& fired = q->chunks[static_cast<size_t>(chunk)];
+      machine_->sim()->ScheduleAfter(delay, [this, id = q.id, chunk] {
+        QueryState* live = Find(id);
+        if (live == nullptr) {
+          return;
+        }
+        ChunkSlot& fired = live->chunks[static_cast<size_t>(chunk)];
         fired.retry_event = EventHandle();
-        if (q->finished || q->fanout_closed || fired.done) {
+        if (live->fanout_closed || fired.done) {
           return;
         }
         ++stats_.retries_issued;
@@ -379,23 +377,29 @@ void IndexServer::OnChunkTimeout(const std::shared_ptr<QueryState>& q, int chunk
         }
         // Re-issue as a duplicate lookup (like a hedge: no budget increment,
         // first answer wins) and arm the next per-attempt timeout.
-        StartChunk(q, chunk, /*is_hedge=*/true);
-        ArmRetryTimer(q, chunk);
+        StartChunk(*live, chunk, /*is_hedge=*/true);
+        ArmRetryTimer(*live, chunk);
       });
 }
 
-void IndexServer::StartRank(const std::shared_ptr<QueryState>& q) {
+void IndexServer::StartRank(QueryState& q) {
   if (ExpireIfOverdue(q)) {
     return;
   }
   const SimDuration cpu = FromMicros(std::max(
-      1.0, q->rng.LogNormal(std::log(config_.rank_cpu_median_us), config_.rank_cpu_sigma) *
-               q->work.size_factor));
-  machine_->SpawnThread("is-rank", TenantClass::kPrimary, job_, cpu,
-                        [this, q](SimTime) { StartSnippets(q); }, q->trace_ctx);
+      1.0, q.rng.LogNormal(std::log(config_.rank_cpu_median_us), config_.rank_cpu_sigma) *
+               q.work.size_factor));
+  machine_->SpawnThread(
+      TenantClass::kPrimary, job_, cpu,
+      [this, id = q.id](SimTime) {
+        if (QueryState* live = Find(id)) {
+          StartSnippets(*live);
+        }
+      },
+      q.trace_ctx);
 }
 
-void IndexServer::StartSnippets(const std::shared_ptr<QueryState>& q) {
+void IndexServer::StartSnippets(QueryState& q) {
   if (ExpireIfOverdue(q)) {
     return;
   }
@@ -405,40 +409,39 @@ void IndexServer::StartSnippets(const std::shared_ptr<QueryState>& q) {
   }
   // Dependent document lookups: each read's target comes from the previous
   // one, so they serialize (this is deliberately on the critical path).
-  q->snippet_reads_left = config_.snippet_reads;
+  q.snippet_reads_left = config_.snippet_reads;
   SubmitSnippetRead(q);
 }
 
-void IndexServer::SubmitSnippetRead(const std::shared_ptr<QueryState>& q) {
-  // The continuation lives only in the in-flight IoRequest, never inside *q:
-  // storing it in the query (as a reusable "snippet chain") would make the
-  // state own a std::function that captures its own shared_ptr — a reference
-  // cycle that leaks every query with snippet reads.
+void IndexServer::SubmitSnippetRead(QueryState& q) {
   IoRequest read;
   read.owner = kIoOwnerIndexData;
   read.op = IoOp::kRead;
   read.bytes = config_.snippet_read_bytes;
   read.sequential = false;
-  read.trace_ctx = q->trace_ctx;
-  read.on_complete = [this, q](SimTime) {
-    if (q->finished) {
+  read.trace_ctx = q.trace_ctx;
+  read.on_complete = [this, id = q.id](SimTime) {
+    QueryState* live = Find(id);
+    if (live == nullptr) {
       return;
     }
-    if (--q->snippet_reads_left > 0) {
-      SubmitSnippetRead(q);
+    if (--live->snippet_reads_left > 0) {
+      SubmitSnippetRead(*live);
       return;
     }
-    machine_->SpawnThread("is-snippet", TenantClass::kPrimary, job_,
-                          ScaledUs(config_.snippet_cpu_us, q->work.size_factor),
-                          [this, q](SimTime) { FinishQuery(q); }, q->trace_ctx);
+    machine_->SpawnThread(
+        TenantClass::kPrimary, job_, ScaledUs(config_.snippet_cpu_us, live->work.size_factor),
+        [this, id](SimTime) {
+          if (QueryState* done = Find(id)) {
+            FinishQuery(*done);
+          }
+        },
+        live->trace_ctx);
   };
   ssd_->Submit(std::move(read));
 }
 
-void IndexServer::FinishQuery(const std::shared_ptr<QueryState>& q) {
-  if (q->finished) {
-    return;
-  }
+void IndexServer::FinishQuery(QueryState& q) {
   // Completion requires a log append; if the log pipeline is backed up past
   // its cap (HDD saturated), the query stalls here until space frees up.
   if (hdd_ != nullptr &&
@@ -447,65 +450,60 @@ void IndexServer::FinishQuery(const std::shared_ptr<QueryState>& q) {
     if (tracer_ != nullptr) {
       tracer_->Instant("log.stall", track_, machine_->sim()->Now());
     }
-    log_waiters_.push_back(q);
+    log_waiters_.push_back(q.id);
     return;
   }
   AppendLog(q);
   CompleteNow(q);
 }
 
-void IndexServer::CompleteNow(const std::shared_ptr<QueryState>& q) {
-  if (q->finished) {
-    return;
-  }
-  q->finished = true;
-  --inflight_;
-  DetachTerminal(q);
+void IndexServer::CompleteNow(QueryState& q) {
+  QueryResult result;
+  result.id = q.work.id;
+  result.submit_time = q.arrival;
+  result.finish_time = machine_->sim()->Now();
+  const SimDuration latency = result.finish_time - q.arrival;
+  result.latency_ms = ToMillis(latency);
+  result.dropped = latency > config_.timeout;
+  result.chunks_total = q.work.fanout;
+  result.chunks_served = q.fanout_closed ? q.chunks_served_at_close : q.work.fanout;
+  result.degraded = q.degraded;
+  const bool owns_trace = q.owns_trace;
+  const uint64_t trace_ctx = q.trace_ctx;
+  QueryDoneFn done = Release(q);
   if (crashed_) {
     // Invariant violation recorded for the checker: a crashed server must not
     // deliver completions (Crash() fails every live query first).
     ++stats_.completions_while_crashed;
   }
   // Network send path (OS tenant).
-  machine_->SpawnThread("is-send", TenantClass::kOs, JobId{},
-                        ScaledUs(config_.send_cpu_us, 1.0), nullptr);
+  machine_->SpawnThread(TenantClass::kOs, JobId{}, ScaledUs(config_.send_cpu_us, 1.0), nullptr);
 
-  QueryResult result;
-  result.id = q->work.id;
-  result.submit_time = q->arrival;
-  result.finish_time = machine_->sim()->Now();
-  const SimDuration latency = result.finish_time - q->arrival;
-  result.latency_ms = ToMillis(latency);
-  result.dropped = latency > config_.timeout;
-  result.chunks_total = q->work.fanout;
-  result.chunks_served = q->fanout_closed ? q->chunks_served_at_close : q->work.fanout;
-  result.degraded = q->degraded;
   if (result.dropped) {
     ++stats_.dropped_timeout;
   } else {
     ++stats_.completed;
     stats_.latency_ms.Add(result.latency_ms);
     stats_.coverage.Add(result.Coverage());
-    if (q->degraded) {
+    if (result.degraded) {
       ++stats_.completed_degraded;
     }
   }
-  if (q->owns_trace) {
-    tracer_->EndTrace(q->trace_ctx, result.finish_time, result.dropped);
+  if (owns_trace) {
+    tracer_->EndTrace(trace_ctx, result.finish_time, result.dropped);
   }
-  if (q->done) {
-    q->done(result);
+  if (done) {
+    done(result);
   }
-  q->done = nullptr;
 }
 
-void IndexServer::AppendLog(const std::shared_ptr<QueryState>& q) {
+void IndexServer::AppendLog(const QueryState& q) {
   if (hdd_ == nullptr) {
     return;
   }
   log_buffered_bytes_ +=
       static_cast<int64_t>(static_cast<double>(config_.log_bytes_per_query) *
-                           q->work.size_factor);
+                           q.work.size_factor);
   MaybeFlushLog();
 }
 
@@ -524,10 +522,12 @@ void IndexServer::MaybeFlushLog() {
       // Admit stalled completions now that buffer space is available.
       while (!log_waiters_.empty() &&
              log_buffered_bytes_ + log_inflight_bytes_ < config_.log_buffer_cap_bytes) {
-        auto waiter = log_waiters_.front();
+        const QueryId waiter = log_waiters_.front();
         log_waiters_.pop_front();
-        AppendLog(waiter);
-        CompleteNow(waiter);
+        if (QueryState* q = Find(waiter)) {
+          AppendLog(*q);
+          CompleteNow(*q);
+        }
       }
     };
     hdd_->Submit(std::move(write));
@@ -543,36 +543,38 @@ void IndexServer::Crash() {
   if (tracer_ != nullptr) {
     tracer_->Instant("server.crash", track_, now);
   }
-  // Fail every live query exactly once: conservation moves each of them to
-  // dropped_crash. Steal the registry first — done callbacks may re-enter the
-  // server (closed-loop clients resubmit on completion).
-  auto live = std::move(live_queries_);
-  live_queries_.clear();
-  for (auto& entry : live) {
-    auto q = entry.second.lock();
-    if (!q || q->finished) {
+  // Fail every live query exactly once, in admission order: conservation
+  // moves each of them to dropped_crash. Snapshot the ids first — done
+  // callbacks may re-enter the server (closed-loop clients resubmit on
+  // completion), and slots freed here may be reused by such resubmissions.
+  std::vector<QueryId> live;
+  for (const QueryState& q : queries_) {
+    if (q.live) {
+      live.push_back(q.id);
+    }
+  }
+  std::sort(live.begin(), live.end(), [this](QueryId a, QueryId b) {
+    return queries_[a.slot].seq < queries_[b.slot].seq;
+  });
+  for (const QueryId id : live) {
+    QueryState* q = Find(id);
+    if (q == nullptr) {
       continue;
     }
-    q->finished = true;
-    --inflight_;
     ++stats_.dropped_crash;
-    CancelHedges(q);
-    CancelRetries(q);
-    machine_->sim()->CancelOwned(q->deadline_event);
     if (q->owns_trace) {
       tracer_->EndTrace(q->trace_ctx, now, /*dropped=*/true);
     }
-    if (q->done) {
-      QueryResult result;
-      result.id = q->work.id;
-      result.submit_time = q->arrival;
-      result.finish_time = now;
-      result.latency_ms = ToMillis(now - q->arrival);
-      result.dropped = true;
-      result.chunks_total = q->work.fanout;
-      result.chunks_served = q->work.fanout - q->chunks_left;
-      auto done = std::move(q->done);
-      q->done = nullptr;
+    QueryResult result;
+    result.id = q->work.id;
+    result.submit_time = q->arrival;
+    result.finish_time = now;
+    result.latency_ms = ToMillis(now - q->arrival);
+    result.dropped = true;
+    result.chunks_total = q->work.fanout;
+    result.chunks_served = q->work.fanout - q->chunks_left;
+    QueryDoneFn done = Release(*q);
+    if (done) {
       done(result);
     }
   }

@@ -27,16 +27,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
-
-#include <map>
+#include <vector>
 
 #include "src/disk/io_scheduler.h"
 #include "src/fault/retry.h"
 #include "src/sim/machine.h"
 #include "src/sim/simulator.h"
-#include "src/util/arena.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/workload/query_trace.h"
@@ -200,36 +197,29 @@ class IndexServer {
   int64_t inflight_at_reset() const { return inflight_at_reset_; }
   // Cumulative non-hedge chunk attempts; the hedge budget's denominator.
   int64_t chunks_started() const { return chunks_started_; }
-  // Number of QueryState objects currently alive. Test hook for the lifetime
-  // regression: after the simulator fully drains and all completion events
-  // (including in-flight I/O) have fired, this must return to zero — a stored
-  // callback capturing the state's own shared_ptr would keep it nonzero.
-  int64_t live_query_states() const { return *live_query_states_; }
-  // Arena behind QueryState allocation. Test hook: after warm-up, slab_allocs
-  // stops growing — the steady-state query path recycles instead of mallocing.
-  const SlabArena::Stats& query_arena_stats() const { return query_arena_->stats(); }
+  // Number of occupied query slots. Test hook for the lifetime regression:
+  // after the simulator drains, every query has reached a terminal state and
+  // released its slot, so this must return to zero.
+  int64_t live_query_states() const {
+    return static_cast<int64_t>(queries_.size() - free_slots_.size());
+  }
   JobId job() const { return job_; }
   SimMachine* machine() const { return machine_; }
   const IndexServeConfig& config() const { return config_; }
 
  private:
-  struct QueryState;
-
   // Per-chunk fan-out state: completion/hedge flags, attempt count, and the
-  // armed retry/hedge timers, one slot per chunk. A query's slots live in one
-  // vector recycled through chunk_pool_, so the steady-state query path does
-  // no per-chunk vector allocation.
+  // armed retry/hedge timers, one slot per chunk.
   struct ChunkSlot {
     // Armed per-attempt timeout (or pending backoff wait); cancelled when the
     // chunk completes or the query reaches a terminal state. Lifecycle owner:
-    // IndexServer::DetachTerminal cancels every slot timer on each terminal
-    // transition, so the slots themselves stay trivially destructible (they
-    // are pooled and recycled across queries).
+    // QueryState::CancelTimers cancels every slot timer, so the slots
+    // themselves stay trivially destructible (they are reused across queries).
     EventHandle retry_event;  // NOLINT(perfiso-LIFE-001)
     // Armed hedge timer; cancelled the moment the chunk completes (or the
     // query reaches a terminal state), so hedge timers for fast lookups — the
     // overwhelming majority — leave the event queue instead of firing as dead
-    // no-ops holding the query state alive.
+    // no-ops.
     EventHandle hedge_event;  // NOLINT(perfiso-LIFE-001)
     // Attempts issued (original + retries, hedges excluded); meaningful only
     // when the retry policy is enabled.
@@ -238,34 +228,74 @@ class IndexServer {
     bool hedged = false;
   };
 
-  // Abandons the query if it is past its deadline; returns true if the query
-  // is no longer live (expired now or earlier).
-  bool ExpireIfOverdue(const std::shared_ptr<QueryState>& q);
-  // Removes every still-armed hedge timer of a terminal query from the event
-  // queue (each timer holds a reference to the query state).
-  void CancelHedges(const std::shared_ptr<QueryState>& q);
-  // Same for per-chunk retry timers.
-  void CancelRetries(const std::shared_ptr<QueryState>& q);
-  // Cancels every timer the query owns and drops it from the live registry;
-  // called on every terminal transition (complete, expire, crash).
-  void DetachTerminal(const std::shared_ptr<QueryState>& q);
+  // Names one in-flight query: its slot in queries_ and the slot's generation
+  // when the query was admitted. Releasing a slot bumps its generation, so an
+  // id held by a late callback goes stale instead of naming the slot's next
+  // occupant. Callbacks capture ids by value, never pointers into queries_.
+  struct QueryId {
+    uint32_t slot = 0;
+    uint32_t generation = 0;
+  };
+
+  // One slot of the query table. Slots are reused across queries; `chunks`
+  // keeps its capacity, so the steady-state query path allocates nothing.
+  struct QueryState {
+    QueryId id;         // generation is the current occupant's
+    bool live = false;  // occupied by a non-terminal query
+    uint64_t seq = 0;   // admission order; Crash() fails queries in this order
+    QueryWork work;
+    QueryDoneFn done;
+    Rng rng{0};
+    SimTime arrival = 0;
+    int chunks_left = 0;
+    std::vector<ChunkSlot> chunks;  // one per fan-out chunk
+    // Degrade-deadline timer (armed only when degrade_deadline > 0).
+    EventHandle deadline_event;
+    // Set when the deadline closed the fan-out at partial coverage: late chunk
+    // completions are ignored from then on.
+    bool fanout_closed = false;
+    bool degraded = false;
+    int chunks_served_at_close = 0;
+    int snippet_reads_left = 0;
+    uint64_t trace_ctx = 0;
+    bool owns_trace = false;  // minted here (standalone) vs adopted from the TLA
+
+    // Pulls every armed hedge, retry and deadline timer out of the event
+    // queue; called when the fan-out closes and on every terminal transition.
+    void CancelTimers(Simulator* sim);
+  };
+
+  // Takes a free slot (growing the table if none is free) for a new query.
+  QueryState& AcquireSlot();
+  // The live query `id` names, or nullptr if the id is stale (the query
+  // completed, expired or crashed): a late callback's lookup is then a no-op.
+  QueryState* Find(QueryId id);
+  // Terminal transition: cancels the query's timers, frees its slot and
+  // returns its completion callback. The caller must not touch `q` afterwards
+  // and invokes the callback last: a closed-loop client resubmits from it, so
+  // the table may grow during the call.
+  QueryDoneFn Release(QueryState& q);
+  // Abandons the query if it is past its deadline; returns true if it did
+  // (the slot is then released).
+  bool ExpireIfOverdue(QueryState& q);
   // Arms the per-attempt chunk timeout (retry must be enabled).
-  void ArmRetryTimer(const std::shared_ptr<QueryState>& q, int chunk);
-  void OnChunkTimeout(const std::shared_ptr<QueryState>& q, int chunk);
+  void ArmRetryTimer(QueryState& q, int chunk);
+  // That timeout fired: re-issue the chunk after a backoff, if allowed.
+  void OnChunkTimeout(QueryState& q, int chunk);
   // Degrade-deadline fired: if coverage has reached the k-of-n floor, close
   // the fan-out and rank with partial results.
-  void MaybeDegrade(const std::shared_ptr<QueryState>& q);
-  void StartParse(const std::shared_ptr<QueryState>& q);
-  void StartFanout(const std::shared_ptr<QueryState>& q);
-  void StartChunk(const std::shared_ptr<QueryState>& q, int chunk, bool is_hedge);
-  void ChunkDone(const std::shared_ptr<QueryState>& q, int chunk);
-  void StartRank(const std::shared_ptr<QueryState>& q);
-  void StartSnippets(const std::shared_ptr<QueryState>& q);
+  void MaybeDegrade(QueryState& q);
+  void StartParse(QueryState& q);
+  void StartFanout(QueryState& q);
+  void StartChunk(QueryState& q, int chunk, bool is_hedge);
+  void ChunkDone(QueryState& q, int chunk);
+  void StartRank(QueryState& q);
+  void StartSnippets(QueryState& q);
   // Issues one dependent snippet read; its completion submits the next.
-  void SubmitSnippetRead(const std::shared_ptr<QueryState>& q);
-  void FinishQuery(const std::shared_ptr<QueryState>& q);
-  void CompleteNow(const std::shared_ptr<QueryState>& q);
-  void AppendLog(const std::shared_ptr<QueryState>& q);
+  void SubmitSnippetRead(QueryState& q);
+  void FinishQuery(QueryState& q);
+  void CompleteNow(QueryState& q);
+  void AppendLog(const QueryState& q);
   void MaybeFlushLog();
 
   SimMachine* machine_;
@@ -282,29 +312,15 @@ class IndexServer {
   int64_t inflight_at_reset_ = 0;
   int64_t chunks_started_ = 0;  // cumulative, for the hedge budget
   bool crashed_ = false;
-  // Every live (non-terminal) query, keyed by a server-local monotonic id
-  // (trace ids can recur when a closed-loop client wraps its trace). Crash()
-  // walks this to fail in-flight queries; weak so the registry never extends
-  // a state's lifetime.
-  std::map<uint64_t, std::weak_ptr<QueryState>> live_queries_;
-  uint64_t next_live_key_ = 0;
+  // The query table: the server is the single owner of every in-flight
+  // query. Freed slots are reused LIFO.
+  std::vector<QueryState> queries_;
+  std::vector<uint32_t> free_slots_;
+  uint64_t next_seq_ = 0;
 
   int64_t log_buffered_bytes_ = 0;   // accumulated, not yet in a flush
   int64_t log_inflight_bytes_ = 0;   // handed to the HDD, not yet durable
-  std::deque<std::shared_ptr<QueryState>> log_waiters_;
-  // Shared with each QueryState, which decrements it on destruction; outlives
-  // the server if states do (which is itself the bug the counter detects).
-  std::shared_ptr<int64_t> live_query_states_ = std::make_shared<int64_t>(0);
-  // Recyclers for the per-query hot-path state: QueryState objects (together
-  // with their shared_ptr control blocks, via std::allocate_shared) come from
-  // the arena, and per-chunk slot vectors keep their heap capacity across
-  // queries. Both are held by shared_ptr because a state can outlive the
-  // server (a completion delivered after teardown): the allocator copy inside
-  // each control block and the pool pointer inside each state keep the
-  // recyclers alive until the last block is returned.
-  std::shared_ptr<SlabArena> query_arena_ = std::make_shared<SlabArena>();
-  std::shared_ptr<VectorPool<ChunkSlot>> chunk_pool_ =
-      std::make_shared<VectorPool<ChunkSlot>>();
+  std::deque<QueryId> log_waiters_;  // completions stalled on log backpressure
 };
 
 }  // namespace perfiso

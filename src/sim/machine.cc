@@ -205,13 +205,11 @@ int SimMachine::AllocThreadSlot() {
   return static_cast<int>(threads_.size()) - 1;
 }
 
-ThreadId SimMachine::SpawnThread(const std::string& thread_name, TenantClass tenant, JobId job,
-                                 SimDuration work, CompletionFn on_complete,
-                                 uint64_t trace_ctx) {
+ThreadId SimMachine::SpawnThread(TenantClass tenant, JobId job, SimDuration work,
+                                 CompletionFn on_complete, uint64_t trace_ctx) {
   const int tid = AllocThreadSlot();
   Thread& t = threads_[static_cast<size_t>(tid)];
   t = Thread{};
-  t.name = thread_name;
   t.tenant = tenant;
   t.job = job.valid() ? job.value : -1;
   t.state = Thread::State::kReady;
@@ -232,9 +230,8 @@ ThreadId SimMachine::SpawnThread(const std::string& thread_name, TenantClass ten
   return ThreadId{tid};
 }
 
-ThreadId SimMachine::SpawnLoopThread(const std::string& thread_name, TenantClass tenant,
-                                     JobId job) {
-  const ThreadId tid = SpawnThread(thread_name, tenant, job, kSecond, nullptr);
+ThreadId SimMachine::SpawnLoopThread(TenantClass tenant, JobId job) {
+  const ThreadId tid = SpawnThread(tenant, job, kSecond, nullptr);
   threads_[static_cast<size_t>(tid.value)].loop = true;
   return tid;
 }

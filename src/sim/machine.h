@@ -129,11 +129,11 @@ class SimMachine {
   // `job` may be invalid (unmanaged thread, full affinity). `trace_ctx`
   // optionally ties the thread's scheduling to a query trace: its run-queue
   // waits and executed slices become cpu-wait/service spans of that query.
-  ThreadId SpawnThread(const std::string& name, TenantClass tenant, JobId job, SimDuration work,
-                       CompletionFn on_complete, uint64_t trace_ctx = 0);
+  ThreadId SpawnThread(TenantClass tenant, JobId job, SimDuration work, CompletionFn on_complete,
+                       uint64_t trace_ctx = 0);
 
   // Spawns a thread with unbounded work (e.g. a CPU bully worker).
-  ThreadId SpawnLoopThread(const std::string& name, TenantClass tenant, JobId job);
+  ThreadId SpawnLoopThread(TenantClass tenant, JobId job);
 
   // Restricts a single thread to `mask` (intersected with its job's mask).
   // Models a primary that affinitizes its own threads (§4.2).
@@ -199,7 +199,6 @@ class SimMachine {
 
  private:
   struct Thread {
-    std::string name;
     TenantClass tenant = TenantClass::kPrimary;
     int job = -1;
     enum class State { kFree, kReady, kRunning, kFinished } state = State::kFree;

@@ -102,8 +102,10 @@ class EventHandle {
 // layers stay inline.
 class EventCallback {
  public:
-  // Sized so a capture of [this, a shared_ptr, and a couple of words] — the
-  // largest shape the hot layers use — still fits inline.
+  // Sized for the fattest hot-path capture, a disk completion: [this, a slot
+  // index, a byte count, and the request's moved std::function] (DiskDevice
+  // static_asserts that it fits). Index-server timers capture [this, a query
+  // id, a chunk index] and fit with room to spare.
   static constexpr size_t kInlineBytes = 56;
 
   EventCallback() = default;

@@ -122,6 +122,21 @@ class GuardTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1)
         self.assertIn("events_per_sec_best", result.stderr + result.stdout)
 
+    def test_missing_baseline_file_fails_with_cannot_read(self):
+        # CI points the guard at a committed baseline; if that file is not in
+        # the tree, the guard must fail loudly rather than pass vacuously.
+        with tempfile.TemporaryDirectory() as tmp:
+            fresh_path = os.path.join(tmp, "fresh.json")
+            with open(fresh_path, "w", encoding="utf-8") as f:
+                json.dump(bench_doc(BASELINE), f)
+            missing = os.path.join(tmp, "BENCH_not_committed.json")
+            result = subprocess.run(
+                [sys.executable, SCRIPT, "--fresh", fresh_path,
+                 "--baseline", missing],
+                capture_output=True, text=True)
+        self.assertNotEqual(result.returncode, 0)
+        self.assertIn(f"cannot read {missing}", result.stderr)
+
     def test_usage_error_on_bad_max_drop(self):
         result = self.run_guard(BASELINE, BASELINE, "--max-drop", "1.5")
         self.assertEqual(result.returncode, 2)

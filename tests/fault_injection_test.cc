@@ -138,8 +138,8 @@ TEST(FaultInjectionTest, CrashFailsInflightAndRejectsUntilRestart) {
 
 TEST(FaultInjectionTest, CrashMidQueryLeavesNoLiveStates) {
   // Lifetime / SimSan regression: crash with open fan-outs, hedge timers, and
-  // in-flight disk completions, then drain. Every QueryState must be
-  // destroyed (no stored callback may keep one alive), and no cancelled
+  // in-flight disk completions, then drain. Every query slot must be
+  // released (no query stranded without a terminal state), and no cancelled
   // timer/completion may fire into freed state — under -DPERFISO_SIMSAN=ON
   // (the CI simsan lane runs this test) a stale handle aborts the process.
   Simulator sim;

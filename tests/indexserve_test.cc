@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <vector>
+
 #include "src/cluster/index_node.h"
 #include "src/sim/simulator.h"
 #include "src/workload/query_trace.h"
@@ -186,11 +191,10 @@ CalibrationResult RunStandalone(double qps, SimDuration measure = 6 * kSecond) {
   return result;
 }
 
-// Lifetime regression for the QueryState shared_ptr cycle: a callback stored
-// inside the state that captures the state's own shared_ptr (as the old
-// "snippet chain" did) keeps every query alive forever. The live-state counter
-// decrements in ~QueryState, so any such cycle shows up as a nonzero count
-// after the simulator drains.
+// Lifetime regression: every query must reach a terminal state and free its
+// slot in the server's query table, so the occupied-slot count returns to
+// zero once the simulator drains. A query stranded without a pending callback
+// would hold its slot forever.
 TEST(IndexServerTest, AllQueryStateDestroyedAfterDrain) {
   Simulator sim;
   IndexNodeOptions options;  // defaults: snippet reads on, hedging on, HDD log on
@@ -207,7 +211,7 @@ TEST(IndexServerTest, AllQueryStateDestroyedAfterDrain) {
 }
 
 // Same invariant on the expiry path: queries abandoned mid-pipeline (including
-// with snippet reads already in flight) must also release all state.
+// with snippet reads already in flight) must also release their slots.
 TEST(IndexServerTest, ExpiredQueryStateDestroyedAfterDrain) {
   Simulator sim;
   IndexNodeOptions options;
@@ -219,6 +223,140 @@ TEST(IndexServerTest, ExpiredQueryStateDestroyedAfterDrain) {
   sim.RunUntilEmpty();
   EXPECT_GT(rig.server().stats().dropped_timeout, 0);
   EXPECT_EQ(rig.server().live_query_states(), 0);
+}
+
+bool Conserved(const IndexServer& server) {
+  const IndexServer::Stats& s = server.stats();
+  return s.submitted + server.inflight_at_reset() ==
+         s.completed + s.TotalDropped() + server.inflight();
+}
+
+// Crash() fails live queries in submission order. Three fast queries finish
+// first and free slots in the middle of the table; the queries submitted
+// next reuse those slots (most recently freed first), so slot order and
+// submission order disagree when the crash arrives.
+TEST(IndexServerTest, CrashFailsLiveQueriesInSubmissionOrder) {
+  Simulator sim;
+  IndexNodeOptions options;
+  options.indexserve.hedging_enabled = false;
+  IndexNodeRig rig(&sim, options, "m0");
+  std::vector<uint64_t> order;
+  auto record = [&](const QueryResult& r) { order.push_back(r.id); };
+  const auto is_fast = [](uint64_t id) { return id == 2 || id == 5 || id == 7; };
+  for (uint64_t id = 0; id < 10; ++id) {
+    // Size 50 spends 35 ms in parse alone; size 0.05 finishes in a few ms.
+    rig.server().SubmitQuery(MakeQuery(id, 5, is_fast(id) ? 0.05 : 50.0, 100 + id), record);
+  }
+  sim.RunUntil(FromMillis(20));
+  std::sort(order.begin(), order.end());
+  ASSERT_EQ(order, (std::vector<uint64_t>{2, 5, 7}));
+  for (uint64_t id = 10; id < 13; ++id) {
+    rig.server().SubmitQuery(MakeQuery(id, 5, 50.0, 100 + id), record);
+  }
+  EXPECT_EQ(rig.server().live_query_states(), 10);
+  order.clear();
+  rig.server().Crash();
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 3, 4, 6, 8, 9, 10, 11, 12}));
+  EXPECT_EQ(rig.server().stats().dropped_crash, 10);
+  EXPECT_EQ(rig.server().live_query_states(), 0);
+  EXPECT_TRUE(Conserved(rig.server()));
+}
+
+// A crash that leaves the disks alone (IndexNodeRig::Crash would cancel their
+// I/O): the dead queries' chunk threads, SSD reads and snippet reads, and the
+// HDD log flushes, all complete after the restart, while new queries occupy
+// the dead queries' slots. None of them may touch a new query: each new query
+// is answered once, under its own id, with its full fan-out, and no sooner
+// than its own parse stage allows.
+TEST(IndexServerTest, LateCompletionsOfCrashedQueriesSkipReusedSlots) {
+  Simulator sim;
+  IndexNodeOptions options;
+  options.indexserve.hedge_delay = FromMillis(1);
+  options.indexserve.log_flush_bytes = 4 * 1024;
+  options.indexserve.log_buffer_cap_bytes = 8 * 1024;
+  IndexNodeRig rig(&sim, options, "m0");
+  std::map<uint64_t, int> answers;
+  std::map<uint64_t, QueryResult> results;
+  auto record = [&](const QueryResult& r) {
+    ++answers[r.id];
+    results[r.id] = r;
+  };
+  // Old queries arrive every 250 us, so the crash catches them spread across
+  // the pipeline: parsing, fanned out, reading snippets, stalled on the log.
+  for (uint64_t id = 0; id < 40; ++id) {
+    sim.Schedule(FromMicros(250) * static_cast<SimDuration>(id), [&, id] {
+      rig.server().SubmitQuery(MakeQuery(id, /*fanout=*/8, 1.0, 300 + id), record);
+    });
+  }
+  sim.RunUntil(FromMillis(12));
+  const int64_t crashed = rig.server().inflight();
+  ASSERT_GT(crashed, 0);
+  rig.server().Crash();
+  rig.server().Restart();
+  // Size 10: parse + understand alone take 7 ms of CPU.
+  constexpr double kNewSize = 10.0;
+  for (uint64_t id = 1000; id < 1040; ++id) {
+    rig.server().SubmitQuery(MakeQuery(id, /*fanout=*/4, kNewSize, 300 + id), record);
+  }
+  sim.RunUntilEmpty();
+
+  const IndexServeConfig& config = rig.server().config();
+  const double min_new_latency_ms =
+      (config.parse_cpu_us + config.understand_cpu_us) * kNewSize / 1000.0;
+  for (uint64_t id = 1000; id < 1040; ++id) {
+    ASSERT_EQ(answers[id], 1) << "query " << id;
+    const QueryResult& r = results[id];
+    EXPECT_EQ(r.id, id);
+    EXPECT_FALSE(r.dropped) << "query " << id;
+    EXPECT_EQ(r.chunks_total, 4);
+    EXPECT_EQ(r.chunks_served, 4);
+    EXPECT_GE(r.latency_ms, min_new_latency_ms) << "query " << id;
+  }
+  for (uint64_t id = 0; id < 40; ++id) {
+    EXPECT_EQ(answers[id], 1) << "query " << id;
+  }
+  const IndexServer::Stats& stats = rig.server().stats();
+  EXPECT_EQ(stats.dropped_crash, crashed);
+  EXPECT_GT(stats.log_stalls, 0);
+  EXPECT_EQ(stats.completions_while_crashed, 0);
+  EXPECT_EQ(rig.server().inflight(), 0);
+  EXPECT_TRUE(Conserved(rig.server()));
+  EXPECT_EQ(rig.server().live_query_states(), 0);
+}
+
+// Closed-loop clients resubmit from `done`. Here every answer submits two
+// more queries, so the query table grows while the server is still inside
+// the terminal transition that invoked the callback. Run under
+// -DPERFISO_SANITIZE=ON this catches any reference into the table held
+// across the callback.
+TEST(IndexServerTest, ResubmittingFromDoneGrowsTableMidCallback) {
+  Simulator sim;
+  IndexNodeOptions options;
+  IndexNodeRig rig(&sim, options, "m0");
+  IndexServer& server = rig.server();
+  constexpr uint64_t kTotal = 63;  // a full binary tree of depth 6
+  uint64_t next_id = 1;
+  int64_t peak_slots = 0;
+  std::vector<uint64_t> answered;
+  std::function<void(const QueryResult&)> on_done = [&](const QueryResult& r) {
+    answered.push_back(r.id);
+    for (int child = 0; child < 2 && next_id < kTotal; ++child) {
+      server.SubmitQuery(MakeQuery(next_id, 5, 1.0, 700 + next_id), on_done);
+      ++next_id;
+    }
+    peak_slots = std::max(peak_slots, server.live_query_states());
+  };
+  server.SubmitQuery(MakeQuery(0, 5, 1.0, 700), on_done);
+  sim.RunUntilEmpty();
+  ASSERT_EQ(answered.size(), kTotal);
+  std::sort(answered.begin(), answered.end());
+  for (uint64_t id = 0; id < kTotal; ++id) {
+    EXPECT_EQ(answered[id], id);
+  }
+  EXPECT_GE(peak_slots, 4);
+  EXPECT_EQ(server.stats().completed, static_cast<int64_t>(kTotal));
+  EXPECT_TRUE(Conserved(server));
+  EXPECT_EQ(server.live_query_states(), 0);
 }
 
 TEST(IndexServeCalibration, StandaloneAt2000Qps) {

@@ -76,7 +76,7 @@ TEST(PerfIsoControllerTest, ReactsToPrimaryBurst) {
   // A burst of primary threads occupies 20 of the buffer/primary cores.
   rig.sim.Schedule(FromMillis(20), [&] {
     for (int i = 0; i < 20; ++i) {
-      rig.machine->SpawnThread("burst", TenantClass::kPrimary, JobId{}, FromMillis(300),
+      rig.machine->SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(300),
                                nullptr);
     }
   });
@@ -245,7 +245,7 @@ TEST(PerfIsoControllerTest, SecondarySuspendedWhenPrimaryNeedsEverything) {
   controller.AttachToSimulator(&rig.sim);
   // Saturate the machine with primary work.
   for (int i = 0; i < 48; ++i) {
-    rig.machine->SpawnThread("p", TenantClass::kPrimary, JobId{}, 2 * kSecond, nullptr);
+    rig.machine->SpawnThread(TenantClass::kPrimary, JobId{}, 2 * kSecond, nullptr);
   }
   rig.sim.RunUntil(kSecond);
   EXPECT_EQ(controller.secondary_cores(), 0);

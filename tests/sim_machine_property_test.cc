@@ -31,7 +31,7 @@ TEST_P(WorkConservationTest, LoopThreadsSaturateExactly) {
   SimMachine machine(&sim, SpecWith(cores, FromMillis(10)), "m0");
   const JobId job = machine.CreateJob("hogs");
   for (int i = 0; i < threads; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   const SimDuration window = FromMillis(200);
   sim.RunUntil(window);
@@ -61,7 +61,7 @@ TEST_P(ConservationTest, BusyTimeEqualsWorkSubmitted) {
     const SimDuration work = FromMicros(rng.Uniform(50, 3000));
     total_work += work;
     ++spawns;
-    machine.SpawnThread("w", TenantClass::kPrimary, JobId{}, work, [&, depth](SimTime) {
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, work, [&, depth](SimTime) {
       ++completions;
       if (depth < 3) {
         const int children = static_cast<int>(rng.UniformInt(0, 3));
@@ -98,7 +98,7 @@ TEST_P(RateCapTest, MeasuredFractionMatchesCap) {
   const JobId job = machine.CreateJob("capped");
   ASSERT_TRUE(machine.SetJobCpuRateCap(job, cap).ok());
   for (int i = 0; i < threads; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   const SimDuration window = 2 * kSecond;
   sim.RunUntil(window);
@@ -127,7 +127,7 @@ TEST_P(AffinityCapacityTest, RestrictedJobBoundedByMask) {
   const JobId job = machine.CreateJob("sec");
   ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::Range(kCores - allowed, kCores)).ok());
   for (int i = 0; i < kCores; ++i) {  // more threads than allowed cores
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   const SimDuration window = FromMillis(500);
   sim.RunUntil(window);
@@ -149,7 +149,7 @@ TEST_P(AffinityChurnTest, AccountingSurvivesRandomMaskChanges) {
   Rng rng(GetParam());
   const JobId job = machine.CreateJob("sec");
   for (int i = 0; i < kCores; ++i) {
-    machine.SpawnLoopThread("hog", TenantClass::kSecondary, job);
+    machine.SpawnLoopThread(TenantClass::kSecondary, job);
   }
   // Change the mask every millisecond to a random non-empty subset.
   SimDuration allowed_integral = 0;  // sum over time of allowed core count
