@@ -10,10 +10,11 @@
 //
 // Rows: one sequential baseline (the pre-partitioning single-Simulator
 // engine) and one partitioned run per worker thread count in {1, 2, 4, 8}.
-// Reported per row: wall seconds, events/sec, speedup over sequential, and
-// the run's latency digests. The determinism contract is asserted, not just
-// reported: every partitioned run must produce bit-identical digests to the
-// 1-thread run, or the bench aborts.
+// Reported per row: wall seconds, events/sec, speedup over sequential, the
+// run's latency digests, and fell_back_sequential (1 when a partitioned
+// request ran on the sequential engine instead). The determinism contract is
+// asserted, not just reported: every partitioned run must produce
+// bit-identical digests to the 1-thread run, or the bench aborts.
 //
 // The summary row `cluster_scale` anchors the CI regression guard:
 // events_per_sec_best normalized by events_per_sec_t1 (the same binary's
@@ -85,6 +86,7 @@ void RecordRun(const std::string& label, const TimedRun& run, double seq_wall_s)
                               {"threads", static_cast<double>(r.threads_used)},
                               {"completed", static_cast<double>(r.completed)},
                               {"tla_p99_ms", r.tla_p99_ms},
+                              {"fell_back_sequential", r.fell_back_sequential ? 1.0 : 0.0},
                           });
   std::printf("%-14s %8.2fs wall  %10.0f events/s  %5.2fx vs sequential  "
               "p99 %.2f ms  %lld queries\n",
@@ -145,7 +147,9 @@ int main() {
 
   double best_wall = runs.front().wall_s;
   int best_threads = thread_counts.front();
+  bool any_fell_back = runs.front().result.fell_back_sequential;
   for (size_t i = 1; i < runs.size(); ++i) {
+    any_fell_back = any_fell_back || runs[i].result.fell_back_sequential;
     if (runs[i].wall_s < best_wall) {
       best_wall = runs[i].wall_s;
       best_threads = thread_counts[i];
@@ -160,6 +164,7 @@ int main() {
                                         {"speedup_best", seq.wall_s / best_wall},
                                         {"threads_best", static_cast<double>(best_threads)},
                                         {"digests_equal", 1.0},
+                                        {"fell_back_sequential", any_fell_back ? 1.0 : 0.0},
                                     });
   std::printf("best: %d thread(s), %.2fx over sequential; digests identical "
               "across all thread counts\n",

@@ -1,5 +1,6 @@
 #include "src/fault/fault_plan.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -68,6 +69,17 @@ StatusOr<double> ParseDoubleField(const std::string& field, const char* what) {
   return value;
 }
 
+// Node ids are ints: anything else, including a value outside int's range,
+// is an error rather than a truncation.
+StatusOr<int> ParseNodeField(const std::string& field) {
+  int value = 0;
+  const auto parsed = std::from_chars(field.data(), field.data() + field.size(), value);
+  if (field.empty() || parsed.ec != std::errc() || parsed.ptr != field.data() + field.size()) {
+    return InvalidArgumentError("malformed fault event node: " + field);
+  }
+  return value;
+}
+
 StatusOr<std::vector<FaultEvent>> DecodeEvents(const std::string& text) {
   if (!text.empty() && text.back() == ',') {
     return InvalidArgumentError("fault.events has a trailing comma");
@@ -90,9 +102,9 @@ StatusOr<std::vector<FaultEvent>> DecodeEvents(const std::string& text) {
     auto kind = ParseFaultKind(fields[0]);
     PERFISO_RETURN_IF_ERROR(kind.status());
     event.kind = *kind;
-    auto node = ParseDoubleField(fields[1], "node");
+    auto node = ParseNodeField(fields[1]);
     PERFISO_RETURN_IF_ERROR(node.status());
-    event.node = static_cast<int>(*node);
+    event.node = *node;
     auto at = ParseDoubleField(fields[2], "time");
     PERFISO_RETURN_IF_ERROR(at.status());
     event.at_sec = *at;

@@ -15,8 +15,6 @@ const char* TraceSamplingName(TraceSampling sampling) {
       return "all";
     case TraceSampling::kSlowestK:
       return "slowest_k";
-    case TraceSampling::kProbabilistic:
-      return "probabilistic";
   }
   return "?";
 }
@@ -27,9 +25,6 @@ StatusOr<TraceSampling> ParseTraceSampling(const std::string& name) {
   }
   if (name == "slowest_k") {
     return TraceSampling::kSlowestK;
-  }
-  if (name == "probabilistic") {
-    return TraceSampling::kProbabilistic;
   }
   return InvalidArgumentError("unknown obs.sampling: " + name);
 }
@@ -43,10 +38,6 @@ Status ObsSpec::Validate() const {
   }
   if (sampling == TraceSampling::kSlowestK && slowest_k <= 0) {
     return InvalidArgumentError("obs.slowest_k must be positive");
-  }
-  if (sampling == TraceSampling::kProbabilistic &&
-      (sample_probability < 0 || sample_probability > 1)) {
-    return InvalidArgumentError("obs.sample_probability must be in [0, 1]");
   }
   if (trace_max_events < 0) {
     return InvalidArgumentError("obs.trace_max_events must be >= 0");
@@ -63,10 +54,6 @@ void ObsSpec::AppendToConfigMap(ConfigMap* map) const {
   map->SetString("obs.sampling", TraceSamplingName(sampling));
   if (sampling == TraceSampling::kSlowestK) {
     map->SetInt("obs.slowest_k", slowest_k);
-  }
-  if (sampling == TraceSampling::kProbabilistic) {
-    map->SetDouble("obs.sample_probability", sample_probability);
-    map->SetInt("obs.sample_seed", static_cast<int64_t>(sample_seed));
   }
   map->SetInt("obs.trace_max_events", trace_max_events);
 }
@@ -87,17 +74,9 @@ StatusOr<ObsSpec> ObsSpec::FromConfigMap(const ConfigMap& map) {
   PERFISO_RETURN_IF_ERROR(sampling.status());
   spec.sampling = *sampling;
 
-  auto slowest_k = map.GetInt("obs.slowest_k", spec.slowest_k);
+  auto slowest_k = map.GetInt32("obs.slowest_k", spec.slowest_k);
   PERFISO_RETURN_IF_ERROR(slowest_k.status());
-  spec.slowest_k = static_cast<int>(*slowest_k);
-
-  auto probability = map.GetDouble("obs.sample_probability", spec.sample_probability);
-  PERFISO_RETURN_IF_ERROR(probability.status());
-  spec.sample_probability = *probability;
-
-  auto seed = map.GetInt("obs.sample_seed", static_cast<int64_t>(spec.sample_seed));
-  PERFISO_RETURN_IF_ERROR(seed.status());
-  spec.sample_seed = static_cast<uint64_t>(*seed);
+  spec.slowest_k = *slowest_k;
 
   auto max_events = map.GetInt("obs.trace_max_events", spec.trace_max_events);
   PERFISO_RETURN_IF_ERROR(max_events.status());
@@ -111,8 +90,6 @@ Tracer::Options ObsSpec::TracerOptions() const {
   Tracer::Options options;
   options.sampling = sampling;
   options.slowest_k = slowest_k;
-  options.sample_probability = sample_probability;
-  options.sample_seed = sample_seed;
   options.max_events = trace_max_events;
   return options;
 }

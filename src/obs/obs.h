@@ -31,8 +31,6 @@ struct ObsSpec {
   SimDuration metrics_period = 100 * kMillisecond;
   TraceSampling sampling = TraceSampling::kAll;
   int slowest_k = 64;
-  double sample_probability = 0.01;
-  uint64_t sample_seed = 1234;
   int64_t trace_max_events = 1'000'000;
 
   Status Validate() const;

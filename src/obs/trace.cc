@@ -47,8 +47,7 @@ void TailAttribution::Accumulate(const TailAttribution& other) {
   other_ms += other.other_ms;
 }
 
-Tracer::Tracer(const Options& options)
-    : options_(options), sample_rng_(options.sample_seed) {}
+Tracer::Tracer(const Options& options) : options_(options) {}
 
 int Tracer::RegisterProcess(const std::string& name) {
   process_names_.push_back(name);
@@ -138,13 +137,6 @@ void Tracer::EndTrace(uint64_t ctx, SimTime at, bool dropped) {
   summaries_.push_back(summary);
 
   // Sampling gates only span retention; the summary above is always kept.
-  // The probabilistic draw comes from the tracer's own Rng, never from a
-  // simulation stream, so enabling it cannot perturb the run.
-  if (options_.sampling == TraceSampling::kProbabilistic &&
-      sample_rng_.NextDouble() >= options_.sample_probability) {
-    ++stats_.dropped_traces;
-    return;
-  }
   Retain(std::move(trace));
 }
 

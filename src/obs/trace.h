@@ -8,10 +8,9 @@
 // per-query critical-path breakdown (TailAttribution) at EndTrace.
 //
 // Contract with the simulation (DESIGN.md §7):
-//  * Passive: the tracer never schedules events, never draws from simulation
-//    RNG streams (probabilistic sampling uses its own Rng), and span
-//    recording is plain vector appends. Golden digests are bit-identical
-//    with tracing on or off.
+//  * Passive: the tracer never schedules events, never draws from an RNG,
+//    and span recording is plain vector appends. Golden digests are
+//    bit-identical with tracing on or off.
 //  * Attribution is computed for every query (it is cheap); sampling only
 //    decides which queries keep their full span lists for export.
 //  * Span and instant names are lowercase dot-separated literals, enforced
@@ -24,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/util/rng.h"
 #include "src/util/sim_time.h"
 
 namespace perfiso {
@@ -106,7 +104,6 @@ struct InstantRecord {
 enum class TraceSampling : uint8_t {
   kAll = 0,        // every query (bounded by max_events)
   kSlowestK = 1,   // the k highest-latency queries seen so far
-  kProbabilistic = 2,  // independent coin per query from a dedicated Rng
 };
 
 class Tracer {
@@ -116,8 +113,6 @@ class Tracer {
   struct Options {
     TraceSampling sampling = TraceSampling::kAll;
     int slowest_k = 64;
-    double sample_probability = 0.01;
-    uint64_t sample_seed = 1234;
     // Cap on total retained span records across all retained traces; new
     // traces are dropped (and counted) once reached.
     int64_t max_events = 1'000'000;
@@ -185,7 +180,6 @@ class Tracer {
   void Retain(RetainedTrace trace);
 
   Options options_;
-  Rng sample_rng_;
   uint64_t next_ctx_ = 1;
   int64_t retained_events_ = 0;
   std::map<uint64_t, ActiveTrace> active_;

@@ -105,21 +105,6 @@ Status PerfIsoController::SetActive(bool active) {
   return ApplyCpuMode();
 }
 
-Status PerfIsoController::ApplyConfig(const PerfIsoConfig& config) {
-  PERFISO_RETURN_IF_ERROR(config.Validate(platform_->NumCores()));
-  const bool was_active = active_;
-  config_ = config;
-  if (!initialized_) {
-    return OkStatus();
-  }
-  // Reapply from scratch: cheap, and runtime reconfigurations are rare.
-  active_ = false;
-  if (!config_.enabled) {
-    return was_active ? RestoreDefaults() : OkStatus();
-  }
-  return SetActive(true);
-}
-
 void PerfIsoController::Poll() {
   if (!active_) {
     return;
@@ -190,20 +175,6 @@ void PerfIsoController::AttachToSimulator(Simulator* sim) {
   io_task_ = std::make_unique<PeriodicTask>(sim, sim->Now() + config_.io_poll_interval,
                                             config_.io_poll_interval,
                                             [this](SimTime) { PollIo(); });
-}
-
-void PerfIsoController::DetachFromSimulator() {
-  cpu_task_.reset();
-  io_task_.reset();
-}
-
-StatusOr<std::unique_ptr<PerfIsoController>> PerfIsoController::Recover(
-    Platform* platform, const ConfigMap& state) {
-  auto config = PerfIsoConfig::FromConfigMap(state);
-  PERFISO_RETURN_IF_ERROR(config.status());
-  auto controller = std::make_unique<PerfIsoController>(platform, *config);
-  PERFISO_RETURN_IF_ERROR(controller->Initialize());
-  return controller;
 }
 
 int PerfIsoController::secondary_cores() const {

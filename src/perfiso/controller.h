@@ -39,7 +39,6 @@ class PerfIsoController {
 
   // Convenience: arms periodic tasks on a simulator for both loops.
   void AttachToSimulator(Simulator* sim);
-  void DetachFromSimulator();
 
   // Registers a "perfiso" track under `process` (the machine the controller
   // manages); control decisions — affinity updates, throttler promotions and
@@ -50,17 +49,6 @@ class PerfIsoController {
   // can later be re-activated and resumes from its configuration.
   Status SetActive(bool active);
   bool active() const { return active_; }
-
-  // Runtime reconfiguration (§4: "resource limits can be altered
-  // independently at runtime by issuing a command to PerfIso").
-  Status ApplyConfig(const PerfIsoConfig& config);
-  const PerfIsoConfig& config() const { return config_; }
-
-  // Crash-recovery support (§4.2): the controller's durable state is its
-  // config; recovery = construct + Initialize from the loaded map.
-  ConfigMap SaveState() const { return config_.ToConfigMap(); }
-  static StatusOr<std::unique_ptr<PerfIsoController>> Recover(Platform* platform,
-                                                              const ConfigMap& state);
 
   struct Stats {
     int64_t polls = 0;

@@ -99,7 +99,11 @@ ConfigMap PerfIsoConfig::ToConfigMap() const {
   return map;
 }
 
-StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMap(const ConfigMap& map) {
+namespace {
+
+// Reads every key PerfIsoConfig knows; keys it does not know are left to
+// the caller.
+StatusOr<PerfIsoConfig> ParseKnownKeys(const ConfigMap& map) {
   PerfIsoConfig config;
 
   auto enabled = map.GetBool("enabled", config.enabled);
@@ -112,9 +116,9 @@ StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMap(const ConfigMap& map) {
   PERFISO_RETURN_IF_ERROR(mode.status());
   config.cpu_mode = *mode;
 
-  auto buffer = map.GetInt("cpu.buffer_cores", config.blind.buffer_cores);
+  auto buffer = map.GetInt32("cpu.buffer_cores", config.blind.buffer_cores);
   PERFISO_RETURN_IF_ERROR(buffer.status());
-  config.blind.buffer_cores = static_cast<int>(*buffer);
+  config.blind.buffer_cores = *buffer;
 
   auto step = map.GetBool("cpu.proportional_step", config.blind.proportional_step);
   PERFISO_RETURN_IF_ERROR(step.status());
@@ -128,23 +132,23 @@ StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMap(const ConfigMap& map) {
   config.blind.placement = *placement;
 
   auto initial =
-      map.GetInt("cpu.initial_secondary_cores", config.blind.initial_secondary_cores);
+      map.GetInt32("cpu.initial_secondary_cores", config.blind.initial_secondary_cores);
   PERFISO_RETURN_IF_ERROR(initial.status());
-  config.blind.initial_secondary_cores = static_cast<int>(*initial);
+  config.blind.initial_secondary_cores = *initial;
 
   auto every_poll =
       map.GetBool("cpu.update_on_every_poll", config.blind.update_on_every_poll);
   PERFISO_RETURN_IF_ERROR(every_poll.status());
   config.blind.update_on_every_poll = *every_poll;
 
-  auto deadband = map.GetInt("cpu.idle_deadband", config.blind.idle_deadband);
+  auto deadband = map.GetInt32("cpu.idle_deadband", config.blind.idle_deadband);
   PERFISO_RETURN_IF_ERROR(deadband.status());
-  config.blind.idle_deadband = static_cast<int>(*deadband);
+  config.blind.idle_deadband = *deadband;
 
   auto static_cores =
-      map.GetInt("cpu.static_secondary_cores", config.static_secondary_cores);
+      map.GetInt32("cpu.static_secondary_cores", config.static_secondary_cores);
   PERFISO_RETURN_IF_ERROR(static_cores.status());
-  config.static_secondary_cores = static_cast<int>(*static_cores);
+  config.static_secondary_cores = *static_cores;
 
   auto rate = map.GetDouble("cpu.rate_cap", config.cpu_rate_cap);
   PERFISO_RETURN_IF_ERROR(rate.status());
@@ -160,9 +164,9 @@ StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMap(const ConfigMap& map) {
   config.min_free_memory_bytes = *min_free;
 
   auto mem_polls =
-      map.GetInt("memory.check_every_n_polls", config.memory_check_every_n_polls);
+      map.GetInt32("memory.check_every_n_polls", config.memory_check_every_n_polls);
   PERFISO_RETURN_IF_ERROR(mem_polls.status());
-  config.memory_check_every_n_polls = static_cast<int>(*mem_polls);
+  config.memory_check_every_n_polls = *mem_polls;
 
   auto egress = map.GetDouble("net.egress_rate_cap_bps", config.egress_rate_cap_bps);
   PERFISO_RETURN_IF_ERROR(egress.status());
@@ -177,9 +181,9 @@ StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMap(const ConfigMap& map) {
   PERFISO_RETURN_IF_ERROR(oversub.status());
   config.net.uplink_oversubscription = *oversub;
 
-  auto rack = map.GetInt("net.machines_per_rack", config.net.machines_per_rack);
+  auto rack = map.GetInt32("net.machines_per_rack", config.net.machines_per_rack);
   PERFISO_RETURN_IF_ERROR(rack.status());
-  config.net.machines_per_rack = static_cast<int>(*rack);
+  config.net.machines_per_rack = *rack;
 
   auto base_us = map.GetInt("net.base_latency_us",
                             static_cast<int64_t>(ToMicros(config.net.base_latency)));
@@ -194,9 +198,9 @@ StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMap(const ConfigMap& map) {
   PERFISO_RETURN_IF_ERROR(tx_priority.status());
   config.net.tx_priority = *tx_priority;
 
-  auto window = map.GetInt("io.window_polls", config.io_window_polls);
+  auto window = map.GetInt32("io.window_polls", config.io_window_polls);
   PERFISO_RETURN_IF_ERROR(window.status());
-  config.io_window_polls = static_cast<int>(*window);
+  config.io_window_polls = *window;
 
   auto io_poll_us = map.GetInt("io.poll_interval_us",
                                static_cast<int64_t>(ToMicros(config.io_poll_interval)));
@@ -234,9 +238,9 @@ StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMap(const ConfigMap& map) {
     auto iops = map.GetDouble(prefix + "iops", 0);
     PERFISO_RETURN_IF_ERROR(iops.status());
     limit.iops = *iops;
-    auto priority = map.GetInt(prefix + "priority", 2);
+    auto priority = map.GetInt32(prefix + "priority", 2);
     PERFISO_RETURN_IF_ERROR(priority.status());
-    limit.priority = static_cast<int>(*priority);
+    limit.priority = *priority;
     auto weight = map.GetDouble(prefix + "weight", 1.0);
     PERFISO_RETURN_IF_ERROR(weight.status());
     limit.weight = *weight;
@@ -248,10 +252,12 @@ StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMap(const ConfigMap& map) {
   return config;
 }
 
-StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMapStrict(const ConfigMap& map) {
-  auto config = FromConfigMap(map);
+}  // namespace
+
+StatusOr<PerfIsoConfig> PerfIsoConfig::FromConfigMap(const ConfigMap& map) {
+  auto config = ParseKnownKeys(map);
   PERFISO_RETURN_IF_ERROR(config.status());
-  // Every key FromConfigMap understands reappears when the parsed config is
+  // Every key ParseKnownKeys understands reappears when the parsed config is
   // re-serialized, so membership in the canonical form is exactly "known".
   const ConfigMap canonical = config->ToConfigMap();
   for (const auto& [key, value] : map.entries()) {

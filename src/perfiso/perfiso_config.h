@@ -1,5 +1,5 @@
 // PerfIsoConfig: every tunable of the framework, serializable to the
-// cluster-wide key=value files Autopilot distributes (§4).
+// cluster-wide key=value config format (§4).
 #ifndef PERFISO_SRC_PERFISO_PERFISO_CONFIG_H_
 #define PERFISO_SRC_PERFISO_PERFISO_CONFIG_H_
 
@@ -68,15 +68,11 @@ struct PerfIsoConfig {
   int io_window_polls = 16;
   SimDuration io_poll_interval = FromMillis(100);
 
-  // Serialization to/from the Autopilot config format. I/O limits use keys
-  // io.<owner>.bandwidth_bps etc. Unknown keys are ignored (a node must
-  // tolerate a config written by a newer rollout).
+  // Serialization to/from the key=value config format. I/O limits use keys
+  // io.owner.<id>.bandwidth_bps etc. An unknown key is an error, so typos
+  // fail loudly instead of silently running defaults.
   ConfigMap ToConfigMap() const;
   static StatusOr<PerfIsoConfig> FromConfigMap(const ConfigMap& map);
-  // Strict variant for authoring surfaces (scenario specs, tests): any key
-  // FromConfigMap would ignore is an error, so typos fail loudly instead of
-  // silently running defaults.
-  static StatusOr<PerfIsoConfig> FromConfigMapStrict(const ConfigMap& map);
 
   // Validation used by the controller before applying.
   Status Validate(int num_cores) const;

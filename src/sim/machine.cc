@@ -67,7 +67,7 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
   std::vector<int> freed_cores;
   for (int tid : job.threads) {
     Thread& t = threads_[static_cast<size_t>(tid)];
-    const CpuSet eff = EffectiveAffinity(t);
+    const CpuSet& eff = EffectiveAffinity(t);
     if (t.state == Thread::State::kRunning && !eff.Test(t.core)) {
       ChargeRun(t);
       sim_->CancelOwned(t.slice_event);
@@ -215,7 +215,6 @@ ThreadId SimMachine::SpawnThread(TenantClass tenant, JobId job, SimDuration work
   t.state = Thread::State::kReady;
   t.remaining = std::max<SimDuration>(1, work);
   t.loop = false;
-  t.affinity = all_cores_;
   t.on_complete = std::move(on_complete);
   t.core = -1;
   t.trace_ctx = trace_ctx;
@@ -234,41 +233,6 @@ ThreadId SimMachine::SpawnLoopThread(TenantClass tenant, JobId job) {
   const ThreadId tid = SpawnThread(tenant, job, kSecond, nullptr);
   threads_[static_cast<size_t>(tid.value)].loop = true;
   return tid;
-}
-
-Status SimMachine::SetThreadAffinity(ThreadId tid, const CpuSet& mask) {
-  if (!ThreadLive(tid)) {
-    return InvalidArgumentError("no such thread");
-  }
-  Thread& t = threads_[static_cast<size_t>(tid.value)];
-  const CpuSet effective = mask & all_cores_;
-  if (effective.Empty()) {
-    return InvalidArgumentError("thread affinity mask has no valid cores");
-  }
-  t.affinity = effective;
-  const CpuSet eff = EffectiveAffinity(t);
-  if (eff.Empty()) {
-    return FailedPreconditionError("thread mask disjoint from job mask");
-  }
-  if (t.state == Thread::State::kRunning && !eff.Test(t.core)) {
-    const int core = t.core;
-    ChargeRun(t);
-    sim_->CancelOwned(t.slice_event);
-    ++metrics_.preemptions;
-    NoteStopRunning(t);
-    cores_[static_cast<size_t>(core)].running = -1;
-    idle_mask_.Set(core);
-    t.state = Thread::State::kReady;
-    t.core = -1;
-    MakeReady(tid.value);
-    if (cores_[static_cast<size_t>(core)].running < 0) {
-      DispatchNext(core);
-    }
-  } else if (t.state == Thread::State::kReady && t.queued && !eff.Test(t.core)) {
-    RemoveFromQueue(t, tid.value);
-    MakeReady(tid.value);
-  }
-  return OkStatus();
 }
 
 Status SimMachine::KillThread(ThreadId tid) {
@@ -303,11 +267,8 @@ bool SimMachine::ThreadLive(ThreadId tid) const {
 
 // --- Scheduling core ----------------------------------------------------------
 
-CpuSet SimMachine::EffectiveAffinity(const Thread& t) const {
-  if (t.job < 0) {
-    return t.affinity;
-  }
-  return t.affinity & jobs_[static_cast<size_t>(t.job)].affinity;
+const CpuSet& SimMachine::EffectiveAffinity(const Thread& t) const {
+  return t.job < 0 ? all_cores_ : jobs_[static_cast<size_t>(t.job)].affinity;
 }
 
 SimDuration SimMachine::RateBudgetLeft(Job& job) const {
@@ -464,12 +425,7 @@ void SimMachine::NoteReadyBurst(SimTime now) {
 void SimMachine::MakeReady(int tid) {
   Thread& t = threads_[static_cast<size_t>(tid)];
   assert(t.state == Thread::State::kReady && !t.queued);
-  CpuSet eff = EffectiveAffinity(t);
-  if (eff.Empty()) {
-    // Thread mask became disjoint from its job mask (the job shrank under the
-    // thread). Fall back to the job mask — the job's limits take precedence.
-    eff = t.job >= 0 ? jobs_[static_cast<size_t>(t.job)].affinity : all_cores_;
-  }
+  const CpuSet& eff = EffectiveAffinity(t);
   if (JobDispatchable(t)) {
     const int idle_core = PickIdleCore(eff, t.core);
     if (idle_core >= 0) {
@@ -770,7 +726,7 @@ void SimMachine::UnthrottleJob(int job_id) {
     if (t.state != Thread::State::kReady || !JobDispatchable(t)) {
       continue;
     }
-    const CpuSet eff = EffectiveAffinity(t);
+    const CpuSet& eff = EffectiveAffinity(t);
     const int idle_core = PickIdleCore(eff, -1);
     if (idle_core < 0) {
       continue;  // other threads may have wider masks

@@ -135,10 +135,6 @@ class SimMachine {
   // Spawns a thread with unbounded work (e.g. a CPU bully worker).
   ThreadId SpawnLoopThread(TenantClass tenant, JobId job);
 
-  // Restricts a single thread to `mask` (intersected with its job's mask).
-  // Models a primary that affinitizes its own threads (§4.2).
-  Status SetThreadAffinity(ThreadId tid, const CpuSet& mask);
-
   Status KillThread(ThreadId tid);
   bool ThreadLive(ThreadId tid) const;
 
@@ -204,7 +200,6 @@ class SimMachine {
     enum class State { kFree, kReady, kRunning, kFinished } state = State::kFree;
     SimDuration remaining = 0;
     bool loop = false;  // unbounded work
-    CpuSet affinity;    // thread-level mask (full by default)
     CompletionFn on_complete;
     // The pending end-of-slice event while kRunning. Preemption and kill
     // cancel it eagerly, so a stale slice event never sits in the queue.
@@ -245,8 +240,8 @@ class SimMachine {
     std::deque<int> ready;
   };
 
-  // Effective affinity of a thread = thread mask ∩ job mask.
-  CpuSet EffectiveAffinity(const Thread& t) const;
+  // Cores a thread may run on: its job's mask, or every core if unmanaged.
+  const CpuSet& EffectiveAffinity(const Thread& t) const;
   bool JobDispatchable(const Thread& t) const;  // job not throttled / over budget
 
   int AllocThreadSlot();

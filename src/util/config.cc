@@ -2,9 +2,8 @@
 
 #include <cerrno>
 #include <charconv>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace perfiso {
@@ -47,40 +46,12 @@ StatusOr<ConfigMap> ConfigMap::Parse(const std::string& text) {
   return map;
 }
 
-StatusOr<ConfigMap> ConfigMap::LoadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot open config file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Parse(buffer.str());
-}
-
 std::string ConfigMap::Serialize() const {
   std::string out;
   for (const auto& [key, value] : entries_) {
     out += key + " = " + value + "\n";
   }
   return out;
-}
-
-Status ConfigMap::WriteFile(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return InternalError("cannot open for write: " + tmp);
-    }
-    out << Serialize();
-    if (!out.good()) {
-      return InternalError("write failed: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return InternalError(std::string("rename failed: ") + std::strerror(errno));
-  }
-  return OkStatus();
 }
 
 void ConfigMap::SetString(const std::string& key, std::string value) {
@@ -123,6 +94,16 @@ StatusOr<int64_t> ConfigMap::GetInt(const std::string& key, int64_t def) const {
   return value;
 }
 
+StatusOr<int> ConfigMap::GetInt32(const std::string& key, int def) const {
+  auto value = GetInt(key, def);
+  PERFISO_RETURN_IF_ERROR(value.status());
+  if (*value < std::numeric_limits<int>::min() || *value > std::numeric_limits<int>::max()) {
+    return InvalidArgumentError("config key \"" + key + "\": out of int range: " +
+                                entries_.at(key));
+  }
+  return static_cast<int>(*value);
+}
+
 StatusOr<double> ConfigMap::GetDouble(const std::string& key, double def) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -149,23 +130,6 @@ StatusOr<bool> ConfigMap::GetBool(const std::string& key, bool def) const {
     return false;
   }
   return InvalidArgumentError("config key \"" + key + "\": not a bool: " + it->second);
-}
-
-int64_t ConfigMap::GetIntOr(const std::string& key, int64_t def) const {
-  auto result = GetInt(key, def);
-  return result.ok() ? *result : def;
-}
-double ConfigMap::GetDoubleOr(const std::string& key, double def) const {
-  auto result = GetDouble(key, def);
-  return result.ok() ? *result : def;
-}
-bool ConfigMap::GetBoolOr(const std::string& key, bool def) const {
-  auto result = GetBool(key, def);
-  return result.ok() ? *result : def;
-}
-std::string ConfigMap::GetStringOr(const std::string& key, const std::string& def) const {
-  auto result = GetString(key, def);
-  return result.ok() ? *result : def;
 }
 
 }  // namespace perfiso

@@ -1,9 +1,9 @@
 // Key=value configuration parsing.
 //
-// PerfIso reads its limits from cluster-wide configuration files distributed
-// by Autopilot (§4). The format here is a flat `key = value` file with `#`
-// comments; keys are dotted (e.g. "cpu.buffer_cores"). Values are typed at
-// access time with explicit error reporting.
+// PerfIso reads its limits from cluster-wide key=value configuration (§4);
+// scenario specs use the same format. The format here is a flat `key = value`
+// text with `#` comments; keys are dotted (e.g. "cpu.buffer_cores"). Values
+// are typed at access time with explicit error reporting.
 #ifndef PERFISO_SRC_UTIL_CONFIG_H_
 #define PERFISO_SRC_UTIL_CONFIG_H_
 
@@ -26,14 +26,8 @@ class ConfigMap {
   // Parses `text`; returns error with line number on malformed input.
   static StatusOr<ConfigMap> Parse(const std::string& text);
 
-  // Loads and parses a file from disk.
-  static StatusOr<ConfigMap> LoadFile(const std::string& path);
-
   // Serializes back to the text format (sorted by key).
   std::string Serialize() const;
-
-  // Writes Serialize() to `path` atomically (tmp file + rename).
-  Status WriteFile(const std::string& path) const;
 
   void SetString(const std::string& key, std::string value);
   void SetInt(const std::string& key, int64_t value);
@@ -46,14 +40,11 @@ class ConfigMap {
   // Status only on present-but-malformed values.
   StatusOr<std::string> GetString(const std::string& key, const std::string& def) const;
   StatusOr<int64_t> GetInt(const std::string& key, int64_t def) const;
+  // GetInt for `int` fields: a value outside int's range is an error, not a
+  // silent wrap.
+  StatusOr<int> GetInt32(const std::string& key, int def) const;
   StatusOr<double> GetDouble(const std::string& key, double def) const;
   StatusOr<bool> GetBool(const std::string& key, bool def) const;
-
-  // Unchecked variants used where config was validated up front.
-  int64_t GetIntOr(const std::string& key, int64_t def) const;
-  double GetDoubleOr(const std::string& key, double def) const;
-  bool GetBoolOr(const std::string& key, bool def) const;
-  std::string GetStringOr(const std::string& key, const std::string& def) const;
 
   const std::map<std::string, std::string>& entries() const { return entries_; }
 

@@ -240,16 +240,16 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromConfigMap(const ConfigMap& map) {
   PERFISO_RETURN_IF_ERROR(client.status());
   spec.client = *client;
 
-  auto outstanding = map.GetInt("workload.closed.outstanding", spec.closed.outstanding);
+  auto outstanding = map.GetInt32("workload.closed.outstanding", spec.closed.outstanding);
   PERFISO_RETURN_IF_ERROR(outstanding.status());
-  spec.closed.outstanding = static_cast<int>(*outstanding);
+  spec.closed.outstanding = *outstanding;
   auto think = map.GetInt("workload.closed.think_time_ns", spec.closed.think_time);
   PERFISO_RETURN_IF_ERROR(think.status());
   spec.closed.think_time = *think;
 
-  auto bully = map.GetInt("workload.tenants.cpu_bully_threads", spec.tenants.cpu_bully_threads);
+  auto bully = map.GetInt32("workload.tenants.cpu_bully_threads", spec.tenants.cpu_bully_threads);
   PERFISO_RETURN_IF_ERROR(bully.status());
-  spec.tenants.cpu_bully_threads = static_cast<int>(*bully);
+  spec.tenants.cpu_bully_threads = *bully;
   auto disk = map.GetBool("workload.tenants.disk_bully", spec.tenants.disk_bully);
   PERFISO_RETURN_IF_ERROR(disk.status());
   spec.tenants.disk_bully = *disk;
@@ -260,23 +260,23 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromConfigMap(const ConfigMap& map) {
   PERFISO_RETURN_IF_ERROR(ml.status());
   spec.tenants.ml_training = *ml;
   auto ml_threads =
-      map.GetInt("workload.tenants.ml_worker_threads", spec.tenants.ml_worker_threads);
+      map.GetInt32("workload.tenants.ml_worker_threads", spec.tenants.ml_worker_threads);
   PERFISO_RETURN_IF_ERROR(ml_threads.status());
-  spec.tenants.ml_worker_threads = static_cast<int>(*ml_threads);
+  spec.tenants.ml_worker_threads = *ml_threads;
 
-  auto columns = map.GetInt("workload.topology.columns", spec.topology.columns);
+  auto columns = map.GetInt32("workload.topology.columns", spec.topology.columns);
   PERFISO_RETURN_IF_ERROR(columns.status());
-  spec.topology.columns = static_cast<int>(*columns);
-  auto rows = map.GetInt("workload.topology.rows", spec.topology.rows);
+  spec.topology.columns = *columns;
+  auto rows = map.GetInt32("workload.topology.rows", spec.topology.rows);
   PERFISO_RETURN_IF_ERROR(rows.status());
-  spec.topology.rows = static_cast<int>(*rows);
-  auto tlas = map.GetInt("workload.topology.tla_machines", spec.topology.tla_machines);
+  spec.topology.rows = *rows;
+  auto tlas = map.GetInt32("workload.topology.tla_machines", spec.topology.tla_machines);
   PERFISO_RETURN_IF_ERROR(tlas.status());
-  spec.topology.tla_machines = static_cast<int>(*tlas);
+  spec.topology.tla_machines = *tlas;
 
-  auto partitions = map.GetInt("workload.sim.partitions", spec.sim_partitions);
+  auto partitions = map.GetInt32("workload.sim.partitions", spec.sim_partitions);
   PERFISO_RETURN_IF_ERROR(partitions.status());
-  spec.sim_partitions = static_cast<int>(*partitions);
+  spec.sim_partitions = *partitions;
 
   auto warmup = map.GetInt("workload.warmup_ns", spec.warmup);
   PERFISO_RETURN_IF_ERROR(warmup.status());
@@ -304,7 +304,7 @@ StatusOr<ScenarioSpec> ScenarioSpec::FromConfigMap(const ConfigMap& map) {
   auto isolation = map.GetString("workload.isolation", "none");
   PERFISO_RETURN_IF_ERROR(isolation.status());
   if (*isolation == "perfiso") {
-    auto config = PerfIsoConfig::FromConfigMapStrict(perfiso_map);
+    auto config = PerfIsoConfig::FromConfigMap(perfiso_map);
     PERFISO_RETURN_IF_ERROR(config.status());
     spec.perfiso = *config;
   } else if (*isolation != "none") {

@@ -3,7 +3,7 @@
 // A ScenarioSpec names everything one experiment needs — a load shape, the
 // replay client (open- or closed-loop), a secondary-tenant mix, a topology,
 // and an optional PerfIso configuration — and serializes through the same
-// ConfigMap machinery Autopilot distributes PerfIsoConfig with (§4). Benches
+// key=value ConfigMap format PerfIsoConfig uses (§4). Benches
 // and tests enumerate scenarios from the registry in bench/harness.h by name
 // instead of hand-rolling structs; a spec parsed from a config file runs the
 // exact same experiment as a compiled-in one.
@@ -106,7 +106,7 @@ struct ScenarioSpec {
   uint64_t client_seed = 7;
   uint64_t node_seed = 77;
 
-  // Serialization to/from the Autopilot config format. ToConfigMap emits only
+  // Serialization to/from the key=value config format. ToConfigMap emits only
   // the keys relevant to the active shape/client/isolation, so a round trip
   // preserves exactly the knobs that matter.
   ConfigMap ToConfigMap() const;

@@ -74,6 +74,8 @@ TEST(FaultPlanTest, RejectsMalformedEvents) {
   EXPECT_FALSE(parse("crash:0:1:1").ok());          // missing field
   EXPECT_FALSE(parse("crash:0:1:1:1,").ok());       // trailing comma
   EXPECT_FALSE(parse("crash:0:x:1:1").ok());        // malformed number
+  EXPECT_FALSE(parse("crash:1.5:1:1:1").ok());      // fractional node
+  EXPECT_FALSE(parse("crash:4294967296:1:1:1").ok());  // node outside int
   EXPECT_FALSE(parse("crash:0:-1:1:1").ok());       // negative time
   EXPECT_FALSE(parse("crash:0:1:0:1").ok());        // zero duration
   EXPECT_FALSE(parse("disk:0:1:1:0.5").ok());       // disk multiplier < 1

@@ -85,19 +85,17 @@ TEST(PerfIsoConfigTest, BadPlacementRejected) {
 }
 
 TEST(PerfIsoConfigTest, StrictParseRejectsUnknownKeys) {
-  // The permissive parser ignores keys it does not understand...
+  // A typo'd key fails loudly instead of silently running the default.
   ConfigMap map;
   map.SetInt("cpu.buffer_cores", 6);
   map.SetInt("cpu.bufer_cores", 12);  // typo
-  auto permissive = PerfIsoConfig::FromConfigMap(map);
-  ASSERT_TRUE(permissive.ok());
-  EXPECT_EQ(permissive->blind.buffer_cores, 6);
+  const auto typo = PerfIsoConfig::FromConfigMap(map);
+  ASSERT_FALSE(typo.ok());
+  EXPECT_NE(typo.status().message().find("cpu.bufer_cores"), std::string::npos);
 
-  // ...while the strict parser used by authoring surfaces fails loudly.
-  EXPECT_FALSE(PerfIsoConfig::FromConfigMapStrict(map).ok());
   ConfigMap clean;
   clean.SetInt("cpu.buffer_cores", 6);
-  auto strict = PerfIsoConfig::FromConfigMapStrict(clean);
+  auto strict = PerfIsoConfig::FromConfigMap(clean);
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   EXPECT_EQ(strict->blind.buffer_cores, 6);
 }
@@ -114,10 +112,20 @@ TEST(PerfIsoConfigTest, MalformedIoOwnerIdIsAStatusErrorNotATerminate) {
   EXPECT_FALSE(PerfIsoConfig::FromConfigMap(overflow).ok());
 }
 
+TEST(PerfIsoConfigTest, IntKeyOutsideIntRangeIsRejectedNotWrapped) {
+  // 2^32 + 8 used to wrap to 8 through a static_cast<int>.
+  ConfigMap map;
+  map.SetInt("cpu.buffer_cores", 4294967304LL);
+  EXPECT_FALSE(PerfIsoConfig::FromConfigMap(map).ok());
+  ConfigMap priority;
+  priority.SetInt("io.owner.900.priority", -4294967295LL);
+  EXPECT_FALSE(PerfIsoConfig::FromConfigMap(priority).ok());
+}
+
 TEST(PerfIsoConfigTest, StrictParseAcceptsFullCanonicalForm) {
   PerfIsoConfig config;
   config.io_limits.push_back(IoOwnerLimit{901, 60e6, 0, 1, 2.0, 100});
-  auto strict = PerfIsoConfig::FromConfigMapStrict(config.ToConfigMap());
+  auto strict = PerfIsoConfig::FromConfigMap(config.ToConfigMap());
   ASSERT_TRUE(strict.ok()) << strict.status().ToString();
   ASSERT_EQ(strict->io_limits.size(), 1u);
   EXPECT_EQ(strict->io_limits[0].owner, 901);

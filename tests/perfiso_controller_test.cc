@@ -163,40 +163,11 @@ TEST(PerfIsoControllerTest, MemoryWatchdogKillsSecondary) {
   EXPECT_EQ(rig.machine->IdleCount(), 48);
 }
 
-TEST(PerfIsoControllerTest, RuntimeReconfiguration) {
-  Rig rig;
-  auto controller = rig.MakeController(BlindConfig(8));
-  ASSERT_TRUE(controller.Initialize().ok());
-  controller.AttachToSimulator(&rig.sim);
-  rig.sim.RunUntil(FromMillis(50));
-  ASSERT_EQ(rig.machine->IdleCount(), 8);
-
-  PerfIsoConfig next;
-  next.cpu_mode = CpuIsolationMode::kStaticCores;
-  next.static_secondary_cores = 4;
-  ASSERT_TRUE(controller.ApplyConfig(next).ok());
-  rig.sim.RunUntil(FromMillis(60));
-  EXPECT_EQ(rig.machine->IdleCount(), 44);
-}
-
 TEST(PerfIsoControllerTest, InvalidConfigRejected) {
   Rig rig;
   PerfIsoConfig config = BlindConfig(48);  // buffer == cores
   auto controller = rig.MakeController(config);
   EXPECT_FALSE(controller.Initialize().ok());
-}
-
-TEST(PerfIsoControllerTest, RecoverRebuildsFromState) {
-  Rig rig;
-  PerfIsoConfig config = BlindConfig(6);
-  config.cpu_mode = CpuIsolationMode::kStaticCores;
-  config.static_secondary_cores = 12;
-  const ConfigMap state = PerfIsoConfig(config).ToConfigMap();
-  auto recovered = PerfIsoController::Recover(rig.platform.get(), state);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ((*recovered)->config().static_secondary_cores, 12);
-  rig.sim.RunUntil(FromMillis(10));
-  EXPECT_EQ(rig.machine->IdleCount(), 36);
 }
 
 // A platform whose egress shaper is unavailable (LinuxPlatform without

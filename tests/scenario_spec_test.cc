@@ -172,6 +172,61 @@ TEST(ScenarioSpecTest, InapplicableKeysRejected) {
   EXPECT_FALSE(ScenarioSpec::FromConfigMap(piecewise).ok());
 }
 
+TEST(ScenarioSpecTest, IntKeysOutsideIntRangeRejected) {
+  // 4294967304 is 2^32 + 8: a static_cast<int> would silently read it as 8.
+  {
+    auto map = ConfigMap::Parse(
+        "workload.isolation = perfiso\n"
+        "perfiso.cpu.buffer_cores = 4294967304\n");
+    ASSERT_TRUE(map.ok());
+    const auto parsed = ScenarioSpec::FromConfigMap(*map);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find("cpu.buffer_cores"), std::string::npos)
+        << parsed.status().ToString();
+  }
+  {
+    auto map = ConfigMap::Parse("workload.tenants.cpu_bully_threads = 4294967304\n");
+    ASSERT_TRUE(map.ok());
+    const auto parsed = ScenarioSpec::FromConfigMap(*map);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find("workload.tenants.cpu_bully_threads"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  {
+    ConfigMap map;
+    map.SetInt("workload.topology.columns", -4294967295LL);  // wraps to 1
+    EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+  }
+}
+
+TEST(ScenarioSpecTest, ProbabilisticTraceSamplingRejected) {
+  // The only trace sampling modes are "all" and "slowest_k".
+  {
+    ConfigMap map;
+    map.SetBool("obs.enabled", true);
+    map.SetString("obs.sampling", "probabilistic");
+    EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+  }
+  {
+    ConfigMap map;
+    map.SetBool("obs.enabled", true);
+    map.SetString("obs.sampling", "probabilistic");
+    map.SetDouble("obs.sample_probability", 0.25);
+    map.SetInt("obs.sample_seed", 99);
+    EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+  }
+  {
+    ConfigMap map;
+    map.SetBool("obs.enabled", true);
+    map.SetDouble("obs.sample_probability", 0.25);
+    const auto parsed = ScenarioSpec::FromConfigMap(map);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find("obs.sample_probability"), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(ScenarioSpecTest, PerfIsoKeysWithoutIsolationRejected) {
   ConfigMap map;
   map.SetInt("perfiso.cpu.buffer_cores", 8);  // but workload.isolation = none
@@ -258,7 +313,7 @@ TEST(ScenarioSpecTest, ClientKindNamesRoundTrip) {
   EXPECT_FALSE(ParseClientKind("half_open").ok());
 }
 
-// The serialized form is a plain Autopilot config file: text round trip too.
+// The serialized form is a plain key=value config file: text round trip too.
 TEST(ScenarioSpecTest, SurvivesTextSerialization) {
   ScenarioSpec spec;
   spec.name = "text-trip";

@@ -271,18 +271,6 @@ TEST(SimMachineTest, BurstMetricCountsReadyThreads) {
   EXPECT_GE(machine.metrics().max_ready_burst_5us, 15);
 }
 
-TEST(SimMachineTest, ThreadAffinityIntersectsJobMask) {
-  Simulator sim;
-  SimMachine machine(&sim, TinySpec(4), "m0");
-  const JobId job = machine.CreateJob("sec");
-  ASSERT_TRUE(machine.SetJobAffinity(job, CpuSet::Range(0, 2)).ok());
-  const ThreadId tid = machine.SpawnLoopThread(TenantClass::kSecondary, job);
-  ASSERT_TRUE(machine.SetThreadAffinity(tid, CpuSet::Single(1)).ok());
-  sim.RunUntil(FromMillis(5));
-  EXPECT_FALSE(machine.IdleMask().Test(1));
-  EXPECT_TRUE(machine.IdleMask().Test(0));
-}
-
 TEST(SimMachineTest, MemoryAccounting) {
   Simulator sim;
   MachineSpec spec = TinySpec(1);

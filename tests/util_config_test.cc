@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <cstdint>
 
 namespace perfiso {
 namespace {
@@ -18,17 +17,18 @@ TEST(ConfigTest, ParsesKeysCommentsAndBlanks) {
       "name = IndexServe-Row1\n");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const ConfigMap& config = *result;
-  EXPECT_EQ(config.GetIntOr("cpu.buffer_cores", 0), 8);
-  EXPECT_DOUBLE_EQ(config.GetDoubleOr("io.hdfs_limit_mbps", 0), 60.5);
-  EXPECT_FALSE(config.GetBoolOr("kill_switch", true));
-  EXPECT_EQ(config.GetStringOr("name", ""), "IndexServe-Row1");
+  EXPECT_EQ(*config.GetInt("cpu.buffer_cores", 0), 8);
+  EXPECT_DOUBLE_EQ(*config.GetDouble("io.hdfs_limit_mbps", 0), 60.5);
+  EXPECT_FALSE(*config.GetBool("kill_switch", true));
+  EXPECT_EQ(*config.GetString("name", ""), "IndexServe-Row1");
 }
 
 TEST(ConfigTest, MissingKeysReturnDefaults) {
   auto config = ConfigMap::Parse("");
   ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->GetIntOr("absent", 42), 42);
-  EXPECT_TRUE(config->GetBoolOr("absent", true));
+  EXPECT_EQ(*config->GetInt("absent", 42), 42);
+  EXPECT_EQ(*config->GetInt32("absent", 7), 7);
+  EXPECT_TRUE(*config->GetBool("absent", true));
 }
 
 TEST(ConfigTest, MalformedLineReportsLineNumber) {
@@ -41,7 +41,24 @@ TEST(ConfigTest, MalformedIntIsError) {
   auto config = ConfigMap::Parse("x = notanumber\n");
   ASSERT_TRUE(config.ok());
   EXPECT_FALSE(config->GetInt("x", 0).ok());
-  EXPECT_EQ(config->GetIntOr("x", 5), 5);
+  EXPECT_FALSE(config->GetInt32("x", 0).ok());
+}
+
+TEST(ConfigTest, Int32RejectsValuesOutsideIntInsteadOfWrapping) {
+  ConfigMap config;
+  config.SetInt("max", INT32_MAX);
+  config.SetInt("min", INT32_MIN);
+  config.SetInt("wraps_to_8", 4294967304LL);  // 2^32 + 8
+  config.SetInt("below", static_cast<int64_t>(INT32_MIN) - 1);
+  EXPECT_EQ(*config.GetInt32("max", 0), INT32_MAX);
+  EXPECT_EQ(*config.GetInt32("min", 0), INT32_MIN);
+  const auto wrapped = config.GetInt32("wraps_to_8", 0);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wrapped.status().message().find("wraps_to_8"), std::string::npos);
+  EXPECT_FALSE(config.GetInt32("below", 0).ok());
+  // The 64-bit getter still reads the full value.
+  EXPECT_EQ(*config.GetInt("wraps_to_8", 0), 4294967304LL);
 }
 
 TEST(ConfigTest, MalformedBoolIsError) {
@@ -79,28 +96,10 @@ TEST(ConfigTest, DoubleRoundTripIsBitExact) {
   EXPECT_EQ(config.entries().at("v"), "0.25");
 }
 
-TEST(ConfigTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/perfiso_config_test.cfg";
-  ConfigMap config;
-  config.SetInt("a", 1);
-  config.SetString("b", "two");
-  ASSERT_TRUE(config.WriteFile(path).ok());
-  auto loaded = ConfigMap::LoadFile(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->entries(), config.entries());
-  std::remove(path.c_str());
-}
-
-TEST(ConfigTest, LoadMissingFileIsNotFound) {
-  auto result = ConfigMap::LoadFile("/nonexistent/perfiso.cfg");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-}
-
 TEST(ConfigTest, EqualsSignInValueKept) {
   auto config = ConfigMap::Parse("expr = a=b\n");
   ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config->GetStringOr("expr", ""), "a=b");
+  EXPECT_EQ(*config->GetString("expr", ""), "a=b");
 }
 
 }  // namespace
