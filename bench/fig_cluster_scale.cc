@@ -6,7 +6,7 @@
 // 2,000 QPS peak, with the paper's colocated CPU bully and blind isolation
 // (B=8) on every leaf. The cluster is sharded into 21 simulator partitions
 // (TLAs + client on partition 0, rows round-robined over the other 20) run
-// in conservative lockstep windows of width net.base_latency.
+// in conservative lockstep windows of width FabricConfig::base_latency.
 //
 // Rows: one sequential baseline (the pre-partitioning single-Simulator
 // engine) and one partitioned run per worker thread count in {1, 2, 4, 8}.

@@ -307,7 +307,7 @@ SingleBoxResult RunSingleBox(const ScenarioSpec& input, const IndexNodeOptions& 
     rig.EnableTracing(&obs_ctx->tracer);
     const int client_pid = obs_ctx->tracer.RegisterProcess("client");
     client_track = obs_ctx->tracer.RegisterTrack(client_pid, "arrivals");
-    latency_hist = obs_ctx->registry.AddHistogram("indexserve.latency_ms", 0, 200, 40);
+    latency_hist = obs_ctx->registry.AddHistogram("indexserve.latency_ms");
     obs_ctx->registry.AddProbe("indexserve.inflight", [&rig] {
       return static_cast<double>(rig.server().inflight());
     });
@@ -687,11 +687,9 @@ ClusterRunResult RunClusterScenario(const ScenarioSpec& input) {
   const ClusterOptions options = MakeClusterOptions(scenario);
 
   // Decide the execution mode. The partitioned engine does not support fault
-  // injection (crash routing mutates shared state mid-run), tracing (one
-  // tracer, one clock), or a fabric with no positive cross-partition latency
-  // floor (base_latency is the PDES lookahead; zero would livelock the
-  // window loop) — those run sequentially, with a warning so a benchmark
-  // invocation can't silently measure the wrong engine.
+  // injection (crash routing mutates shared state mid-run) or tracing (one
+  // tracer, one clock) — those run sequentially, with a warning so a
+  // benchmark invocation can't silently measure the wrong engine.
   int partitions = scenario.sim_partitions;
   const char* fallback_reason = nullptr;
   if (partitions >= 2) {
@@ -699,9 +697,6 @@ ClusterRunResult RunClusterScenario(const ScenarioSpec& input) {
       fallback_reason = "fault injection is sequential-only";
     } else if (scenario.obs.enabled) {
       fallback_reason = "tracing/observability is sequential-only";
-    } else if (options.fabric.base_latency <= 0) {
-      fallback_reason =
-          "net.base_latency must be positive to serve as the cross-partition lookahead";
     }
   }
   if (fallback_reason != nullptr) {

@@ -156,13 +156,13 @@ void ApplyScenarioTenants(Cluster* cluster, const ScenarioSpec& scenario);
 // RunClusterScenario drives one cluster spec end to end. When the spec sets
 // sim_partitions >= 2 the cluster is sharded across that many simulator
 // partitions (src/sim/parallel.h) running in conservative lockstep windows of
-// width net.base_latency — the cross-partition latency floor, i.e. the PDES
-// lookahead. Results are a pure function of (spec, partition count):
-// bit-identical digests at any worker thread count (pinned by
+// width FabricConfig::base_latency — the cross-partition latency floor, i.e.
+// the PDES lookahead, which the Fabric constructor requires to be positive.
+// Results are a pure function of (spec, partition count): bit-identical
+// digests at any worker thread count (pinned by
 // tests/cluster_partition_determinism_test.cc). Specs that need features the
-// partitioned engine does not support — fault injection, tracing/obs, or a
-// non-positive latency floor — fall back to a sequential run with a warning
-// (fell_back_sequential below).
+// partitioned engine does not support — fault injection or tracing/obs —
+// fall back to a sequential run with a warning (fell_back_sequential below).
 
 // Worker threads for partitioned runs: PERFISO_SIM_THREADS when set
 // (1 = single-threaded lockstep), otherwise the hardware concurrency. Read

@@ -99,180 +99,6 @@ class LegacySimulator {
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
 };
 
-// --- The previous pooled engine generation: 4-ary heap, no wheel -------------
-//
-// The same pooled records, generation-checked handles, eager cancel, and
-// (time, seq) total order as src/sim/simulator.h before the two-band
-// scheduler — with the 4-ary heap as the only priority structure. Kept in
-// this binary so the wheel_vs_heap4 rows measure exactly the data-structure
-// swap (O(1) bucket ops vs O(log n) sifts), not incidental engine
-// differences.
-class Heap4Simulator {
- public:
-  struct Handle {
-    uint32_t id = 0xffffffffu;
-    uint32_t gen = 0;
-  };
-
-  SimTime Now() const { return now_; }
-
-  template <typename Fn>
-  Handle Schedule(SimTime when, Fn&& fn) {
-    const uint32_t id = AllocSlot();
-    Event& e = rec(id);
-    e.time = when < now_ ? now_ : when;
-    e.seq = next_seq_++;
-    e.cb.Emplace(std::forward<Fn>(fn), &cb_heap_allocs_);
-    HeapPush(id, e.time, e.seq);
-    return Handle{id, e.gen};
-  }
-  template <typename Fn>
-  Handle ScheduleAfter(SimDuration delay, Fn&& fn) {
-    return Schedule(now_ + delay, std::forward<Fn>(fn));
-  }
-
-  bool Cancel(Handle h) {
-    if ((h.id >> kSlabBits) >= slabs_.size()) {
-      return false;
-    }
-    Event& e = rec(h.id);
-    if (e.gen != h.gen || e.heap_pos < 0) {
-      return false;
-    }
-    HeapRemoveAt(static_cast<size_t>(e.heap_pos));
-    e.heap_pos = -1;
-    ++e.gen;
-    e.cb.Reset();
-    free_ids_.push_back(h.id);
-    return true;
-  }
-
-  bool Step() {
-    if (heap_.empty()) {
-      return false;
-    }
-    const uint32_t id = heap_.front().id;
-    Event& e = rec(id);
-    now_ = e.time;
-    HeapRemoveAt(0);
-    e.heap_pos = -1;
-    ++e.gen;
-    e.cb.Invoke();
-    e.cb.Reset();
-    free_ids_.push_back(id);
-    return true;
-  }
-
- private:
-  static constexpr uint32_t kSlabBits = 8;
-  static constexpr uint32_t kSlabSize = 1u << kSlabBits;
-
-  struct Event {
-    SimTime time = 0;
-    uint64_t seq = 0;
-    uint32_t gen = 0;
-    int32_t heap_pos = -1;
-    EventCallback cb;
-  };
-  struct HeapItem {
-    SimTime time;
-    uint64_t seq;
-    uint32_t id;
-  };
-
-  static bool Before(const HeapItem& a, const HeapItem& b) {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    return a.seq < b.seq;
-  }
-
-  Event& rec(uint32_t id) { return slabs_[id >> kSlabBits][id & (kSlabSize - 1)]; }
-
-  uint32_t AllocSlot() {
-    if (free_ids_.empty()) {
-      const auto base = static_cast<uint32_t>(slabs_.size()) << kSlabBits;
-      slabs_.push_back(std::make_unique<Event[]>(kSlabSize));
-      for (uint32_t i = kSlabSize; i > 0; --i) {
-        free_ids_.push_back(base + i - 1);
-      }
-    }
-    const uint32_t id = free_ids_.back();
-    free_ids_.pop_back();
-    return id;
-  }
-
-  void Place(size_t pos, const HeapItem& item) {
-    heap_[pos] = item;
-    rec(item.id).heap_pos = static_cast<int32_t>(pos);
-  }
-
-  void SiftUp(size_t pos) {
-    const HeapItem item = heap_[pos];
-    while (pos > 0) {
-      const size_t parent = (pos - 1) >> 2;
-      if (!Before(item, heap_[parent])) {
-        break;
-      }
-      Place(pos, heap_[parent]);
-      pos = parent;
-    }
-    Place(pos, item);
-  }
-
-  void SiftDown(size_t pos) {
-    const HeapItem item = heap_[pos];
-    const size_t n = heap_.size();
-    for (;;) {
-      const size_t first = 4 * pos + 1;
-      if (first >= n) {
-        break;
-      }
-      size_t best = first;
-      const size_t last = std::min(first + 4, n);
-      for (size_t child = first + 1; child < last; ++child) {
-        if (Before(heap_[child], heap_[best])) {
-          best = child;
-        }
-      }
-      if (!Before(heap_[best], item)) {
-        break;
-      }
-      Place(pos, heap_[best]);
-      pos = best;
-    }
-    Place(pos, item);
-  }
-
-  void HeapPush(uint32_t id, SimTime time, uint64_t seq) {
-    heap_.push_back(HeapItem{time, seq, id});
-    rec(id).heap_pos = static_cast<int32_t>(heap_.size() - 1);
-    SiftUp(heap_.size() - 1);
-  }
-
-  void HeapRemoveAt(size_t pos) {
-    const size_t last = heap_.size() - 1;
-    if (pos == last) {
-      heap_.pop_back();
-      return;
-    }
-    const HeapItem moved = heap_[last];
-    heap_.pop_back();
-    Place(pos, moved);
-    SiftDown(pos);
-    if (heap_[pos].id == moved.id) {
-      SiftUp(pos);
-    }
-  }
-
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t cb_heap_allocs_ = 0;
-  std::vector<HeapItem> heap_;
-  std::vector<std::unique_ptr<Event[]>> slabs_;
-  std::vector<uint32_t> free_ids_;
-};
-
 // --- Engine throughput -------------------------------------------------------
 //
 // The workload is the shape every layer of this repo produces: each unit of
@@ -321,28 +147,6 @@ struct PooledWork {
     const EventHandle next_guard =
         sim->ScheduleAfter(kGuardTimeout, PooledGuard{dead, {}});
     sim->ScheduleAfter(kWorkPeriod, PooledWork{sim, fired, dead, next_guard});
-  }
-};
-
-// The same chain bodies against the previous engine generation, so the
-// wheel_vs_heap4 rows isolate the priority-structure swap.
-struct Heap4Guard {
-  uint64_t* dead;
-  uint64_t pad[3];
-  void operator()() const { ++*dead; }
-};
-
-struct Heap4Work {
-  Heap4Simulator* sim;
-  uint64_t* fired;
-  uint64_t* dead;
-  Heap4Simulator::Handle guard;
-  void operator()() const {
-    ++*fired;
-    sim->Cancel(guard);
-    const Heap4Simulator::Handle next_guard =
-        sim->ScheduleAfter(kGuardTimeout, Heap4Guard{dead, {}});
-    sim->ScheduleAfter(kWorkPeriod, Heap4Work{sim, fired, dead, next_guard});
   }
 };
 
@@ -410,17 +214,6 @@ EngineScore MeasurePooledEngine(int chains, uint64_t warmup_fires, uint64_t meas
   return MeasureSteadyState(sim, fired, dead, warmup_fires, measured_fires);
 }
 
-EngineScore MeasureHeap4Engine(int chains, uint64_t warmup_fires, uint64_t measured_fires) {
-  Heap4Simulator sim;
-  uint64_t fired = 0;
-  uint64_t dead = 0;
-  for (int i = 0; i < chains; ++i) {
-    const Heap4Simulator::Handle guard = sim.Schedule(i + kGuardTimeout, Heap4Guard{&dead, {}});
-    sim.Schedule(i, Heap4Work{&sim, &fired, &dead, guard});
-  }
-  return MeasureSteadyState(sim, fired, dead, warmup_fires, measured_fires);
-}
-
 EngineScore MeasureLegacyEngine(int chains, uint64_t warmup_fires, uint64_t measured_fires) {
   LegacySimulator sim;
   uint64_t fired = 0;
@@ -433,18 +226,15 @@ EngineScore MeasureLegacyEngine(int chains, uint64_t warmup_fires, uint64_t meas
 }
 
 // Schedule/Cancel churn (no legacy counterpart: the old engine could not
-// cancel at all — dead events fired as no-ops). Templated so the same churn
-// runs against the wheel engine and the heap4 generation.
-template <typename Sim>
+// cancel at all — dead events fired as no-ops).
 double MeasureCancelThroughput(int batch, int rounds) {
-  Sim sim;
+  Simulator sim;
   uint64_t sink = 0;
-  auto arm = [&sim, &sink](int i) { return sim.ScheduleAfter(1000 + i, [&sink] { ++sink; }); };
-  std::vector<decltype(arm(0))> handles(static_cast<size_t>(batch));
+  std::vector<EventHandle> handles(static_cast<size_t>(batch));
   const auto start = Clock::now();
   for (int r = 0; r < rounds; ++r) {
     for (int i = 0; i < batch; ++i) {
-      handles[static_cast<size_t>(i)] = arm(i);
+      handles[static_cast<size_t>(i)] = sim.ScheduleAfter(1000 + i, [&sink] { ++sink; });
     }
     for (int i = 0; i < batch; ++i) {
       sim.Cancel(handles[static_cast<size_t>(i)]);
@@ -515,29 +305,20 @@ int main() {
 
   const EngineScore legacy = MeasureLegacyEngine(kChains, kWarmup, kMeasured);
   const EngineScore pooled = MeasurePooledEngine(kChains, kWarmup, kMeasured);
-  const EngineScore heap4 = MeasureHeap4Engine(kChains, kWarmup, kMeasured);
   const double speedup = pooled.useful_events_per_sec / legacy.useful_events_per_sec;
   const int kCancelRounds = static_cast<int>(200 * BenchScale());
-  const double cancel_pairs = MeasureCancelThroughput<Simulator>(1024, kCancelRounds);
-  const double heap4_cancel_pairs = MeasureCancelThroughput<Heap4Simulator>(1024, kCancelRounds);
-  const double wheel_vs_heap4 = pooled.useful_events_per_sec / heap4.useful_events_per_sec;
-  const double wheel_vs_heap4_cancel = cancel_pairs / heap4_cancel_pairs;
+  const double cancel_pairs = MeasureCancelThroughput(1024, kCancelRounds);
 
   std::printf("engine throughput (%d chains, 1 timeout guard per work item):\n", kChains);
   std::printf("  legacy  %10.2f M useful events/s   %5.2f heap allocs/event   %8llu dead fires\n",
               legacy.useful_events_per_sec / 1e6, legacy.allocs_per_event,
               static_cast<unsigned long long>(legacy.dead_fires));
-  std::printf("  heap4   %10.2f M useful events/s   %5.2f heap allocs/event   %8llu dead fires\n",
-              heap4.useful_events_per_sec / 1e6, heap4.allocs_per_event,
-              static_cast<unsigned long long>(heap4.dead_fires));
   std::printf("  pooled  %10.2f M useful events/s   %5.2f heap allocs/event   %8llu dead fires\n",
               pooled.useful_events_per_sec / 1e6, pooled.allocs_per_event,
               static_cast<unsigned long long>(pooled.dead_fires));
   std::printf("  speedup %9.2fx   (acceptance floor: 5x)\n", speedup);
-  std::printf("  wheel vs heap4 %6.2fx work chains, %.2fx schedule+cancel\n", wheel_vs_heap4,
-              wheel_vs_heap4_cancel);
-  std::printf("  schedule+cancel %6.2f M pairs/s (heap4: %.2f M; legacy: not cancellable)\n",
-              cancel_pairs / 1e6, heap4_cancel_pairs / 1e6);
+  std::printf("  schedule+cancel %6.2f M pairs/s (legacy: not cancellable)\n",
+              cancel_pairs / 1e6);
   if (speedup < 5.0) {
     std::printf("  WARNING: speedup below the 5x floor on this machine\n");
   }
@@ -552,15 +333,6 @@ int main() {
                 {"legacy_dead_fires", static_cast<double>(legacy.dead_fires)},
                 {"cancel_pairs_per_sec", cancel_pairs},
             });
-  // The data-structure swap in isolation: the same pooled records, handles,
-  // and eager cancel, timing wheel vs the previous 4-ary-heap generation.
-  ReportRow("wheel_vs_heap4",
-            {
-                {"heap4_events_per_sec", heap4.useful_events_per_sec},
-                {"heap4_cancel_pairs_per_sec", heap4_cancel_pairs},
-                {"wheel_vs_heap4_speedup", wheel_vs_heap4},
-                {"wheel_vs_heap4_cancel_speedup", wheel_vs_heap4_cancel},
-            });
 
   // Control-plane costs (the "syscalls" the controller's tight loop issues).
   const int kIters = static_cast<int>(200'000 * BenchScale());
@@ -570,7 +342,7 @@ int main() {
   {
     ControllerRig rig;
     volatile int sink = 0;
-    idle_ns = MeasureNsPerOp(kIters, [&](int) { sink += rig.platform->IdleCores().Count(); });
+    idle_ns = MeasureNsPerOp(kIters, [&](int) { sink = rig.platform->IdleCores().Count(); });
     poll_ns = MeasureNsPerOp(kIters, [&](int) { rig.controller->Poll(); });
     affinity_ns = MeasureNsPerOp(kIters / 10, [&](int i) {
       const int cores = (i & 1) != 0 ? 16 : 8;  // force a real update every call

@@ -91,7 +91,6 @@ class IndexNodeRig {
   IoScheduler& ssd_scheduler() { return *ssd_sched_; }
   IoScheduler& hdd_scheduler() { return *hdd_sched_; }
   JobId secondary_job() const { return secondary_job_; }
-  CpuBully* cpu_bully() { return cpu_bully_.get(); }
   DiskBully* disk_bully() { return disk_bully_.get(); }
   MlTrainingJob* ml_training() { return ml_training_.get(); }
   NetworkBully* network_bully() { return network_bully_.get(); }

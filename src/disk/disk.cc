@@ -73,7 +73,6 @@ void DiskDevice::TryStart() {
     IoRequest request = std::move(queue_.front());
     queue_.pop_front();
     const SimDuration service = ServiceTime(request);
-    last_was_sequential_ = request.sequential;
     ++active_;
     busy_ns_ += service;
     const size_t slot = AllocInflightSlot();

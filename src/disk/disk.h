@@ -93,7 +93,6 @@ class DiskDevice {
   // arithmetic entirely, so a never-degraded device is bit-identical to one
   // without the feature.
   void SetLatencyMultiplier(double multiplier) { latency_multiplier_ = multiplier; }
-  double latency_multiplier() const { return latency_multiplier_; }
 
   // Registers this drive as a track of `process` (its volume); traced
   // requests then report queue/service spans there.
@@ -129,7 +128,6 @@ class DiskDevice {
   int64_t completed_ops_ = 0;
   int64_t completed_bytes_ = 0;
   SimDuration busy_ns_ = 0;
-  bool last_was_sequential_ = false;
   double latency_multiplier_ = 1.0;
 };
 

@@ -296,9 +296,4 @@ const IoScheduler::OwnerSchedStats& IoScheduler::Stats(int owner) const {
   return it == owners_.end() ? kEmpty : it->second.stats;
 }
 
-size_t IoScheduler::QueuedRequests(int owner) const {
-  auto it = owners_.find(owner);
-  return it == owners_.end() ? 0 : it->second.queue.size();
-}
-
 }  // namespace perfiso

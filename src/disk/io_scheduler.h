@@ -74,7 +74,6 @@ class IoScheduler {
     LatencyRecorder total_latency_us;  // submit-to-complete incl. queueing
   };
   const OwnerSchedStats& Stats(int owner) const;
-  size_t QueuedRequests(int owner) const;
   int outstanding() const { return outstanding_; }
 
   StripedVolume* volume() const { return volume_; }

@@ -1,6 +1,8 @@
 #include "src/net/fabric.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "src/sim/parallel.h"
@@ -9,35 +11,37 @@ namespace perfiso {
 
 Status FabricConfig::Validate() const {
   if (link_rate_bps <= 0) {
-    return InvalidArgumentError("net.link_rate_bps must be positive");
+    return InvalidArgumentError("link_rate_bps must be positive");
   }
   if (uplink_oversubscription < 1.0) {
-    return InvalidArgumentError("net.uplink_oversubscription must be >= 1");
+    return InvalidArgumentError("uplink_oversubscription must be >= 1");
   }
   if (machines_per_rack <= 0) {
-    return InvalidArgumentError("net.machines_per_rack must be positive");
+    return InvalidArgumentError("machines_per_rack must be positive");
   }
   if (base_latency <= 0) {
     return InvalidArgumentError(
-        "net.base_latency_us must be positive: it is the fabric's one-way "
+        "base_latency must be positive: it is the fabric's one-way "
         "propagation delay and the PDES lookahead for partitioned runs "
         "(zero lookahead means zero-width lockstep windows)");
   }
   if (chunk_bytes <= 0) {
-    return InvalidArgumentError("net.chunk_bytes must be positive");
+    return InvalidArgumentError("chunk_bytes must be positive");
   }
   if (request_bytes <= 0 || leaf_response_bytes <= 0 || final_response_bytes <= 0) {
-    return InvalidArgumentError("net RPC payload sizes must be positive");
+    return InvalidArgumentError("RPC payload sizes must be positive");
   }
   return OkStatus();
 }
 
 Fabric::Fabric(Simulator* sim, const FabricConfig& config) : sim_(sim), config_(config) {
   assert(sim_ != nullptr);
-  assert(config_.link_rate_bps > 0);
-  assert(config_.uplink_oversubscription >= 1.0);
-  assert(config_.machines_per_rack > 0);
-  assert(config_.chunk_bytes > 0);
+  // Enforced in release builds too: a non-physical fabric would corrupt
+  // every flow, and a zero base_latency would livelock the PDES windows.
+  if (Status status = config_.Validate(); !status.ok()) {
+    std::fprintf(stderr, "Fabric: invalid FabricConfig: %s\n", status.message().c_str());
+    std::abort();
+  }
 }
 
 Fabric::Fabric(ParallelSimulation* psim, const FabricConfig& config)
@@ -60,8 +64,7 @@ int Fabric::AttachMachine(const std::string& name, int partition) {
   ep->name = name;
   ep->partition = partition;
   ep->sim = sim;
-  ep->dev = std::make_unique<NetDev>(sim, config_.link_rate_bps, config_.chunk_bytes, name,
-                                     config_.tx_priority);
+  ep->dev = std::make_unique<NetDev>(sim, config_.link_rate_bps, config_.chunk_bytes, name);
   if (static_cast<size_t>(partition) >= open_rack_.size()) {
     open_rack_.resize(static_cast<size_t>(partition) + 1, -1);
   }

@@ -46,17 +46,16 @@ struct FabricConfig {
   int machines_per_rack = 16;
   SimDuration base_latency = FromMicros(120);  // one-way propagation + switching
   int64_t chunk_bytes = 64 * 1024;             // serialization/preemption granularity
-  bool tx_priority = true;  // false: NIC TX degrades to FIFO (no priority classes)
 
   // RPC payload sizes used by the cluster layers (formerly NetworkSpec).
   int64_t request_bytes = 2 * 1024;
   int64_t leaf_response_bytes = 16 * 1024;
   int64_t final_response_bytes = 32 * 1024;
 
-  // Rejects non-physical settings. base_latency must be strictly positive:
-  // besides being the propagation delay, it is the PDES lookahead for
-  // partitioned runs — zero would mean zero-width lockstep windows and a
-  // livelocked window loop.
+  // Rejects non-physical settings; the Fabric constructor aborts on them.
+  // base_latency must be strictly positive: besides being the propagation
+  // delay, it is the PDES lookahead for partitioned runs — zero would mean
+  // zero-width lockstep windows and a livelocked window loop.
   Status Validate() const;
 };
 
@@ -100,9 +99,6 @@ class Fabric {
   NetDev& netdev(int endpoint) { return *endpoints_[static_cast<size_t>(endpoint)]->dev; }
   Link& rack_uplink(int rack) { return *racks_[static_cast<size_t>(rack)]->up; }
   Link& rack_downlink(int rack) { return *racks_[static_cast<size_t>(rack)]->down; }
-  int endpoint_partition(int endpoint) const {
-    return endpoints_[static_cast<size_t>(endpoint)]->partition;
-  }
 
   // --- Stats -----------------------------------------------------------------
 

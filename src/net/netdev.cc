@@ -120,10 +120,8 @@ void Link::OnChunkDone(int queue, int64_t chunk) {
 }
 
 NetDev::NetDev(Simulator* sim, double link_rate_bps, int64_t chunk_bytes,
-               const std::string& name, bool priority_tx)
-    : tx_(sim, link_rate_bps, chunk_bytes,
-          priority_tx ? Link::Discipline::kStrictPriority : Link::Discipline::kFifo,
-          name + "-tx"),
+               const std::string& name)
+    : tx_(sim, link_rate_bps, chunk_bytes, Link::Discipline::kStrictPriority, name + "-tx"),
       rx_(sim, link_rate_bps, chunk_bytes, Link::Discipline::kFifo, name + "-rx") {}
 
 }  // namespace perfiso

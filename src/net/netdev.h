@@ -53,9 +53,8 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  // Installs the secondary shaper (TX links; independent of the discipline —
-  // on a FIFO TX link a token-starved secondary head blocks primary egress
-  // behind it, which is the point of having priority queues).
+  // Installs the secondary shaper (NIC TX links, which serve by strict
+  // priority, so a token-starved secondary head never blocks primary egress).
   void SetEgressBucketProvider(EgressBucketFn provider) { egress_bucket_ = std::move(provider); }
 
   // Enqueues `flow` for serialization; `done` fires once all of
@@ -64,14 +63,12 @@ class Link {
 
   double rate_bps() const { return rate_bps_; }
   const std::string& name() const { return name_; }
-  int64_t QueuedBytes() const { return queued_bytes_; }
 
   // Fault injection (link degradation): chunks *started* while the multiplier
   // is in effect serialize at `fraction` of nominal rate (a chunk already on
   // the wire keeps its original duration). 1.0 restores nominal; the healthy
   // path skips the scaling arithmetic so no-fault runs stay bit-identical.
   void SetRateMultiplier(double fraction) { rate_multiplier_ = fraction; }
-  double rate_multiplier() const { return rate_multiplier_; }
 
   struct LinkStats {
     int64_t bytes_serialized[kNumNetClasses] = {0, 0};
@@ -118,13 +115,11 @@ class Link {
   LinkStats stats_;
 };
 
-// The two directions of one machine's NIC. `priority_tx` false degrades the
-// TX side to FIFO — the "no priority classes" ablation, where a blocked or
-// bulky secondary flow head-of-line-blocks the machine's own primary egress.
+// The two directions of one machine's NIC: strict-priority TX (§3.2's
+// low-priority marking of secondary traffic) and FIFO RX.
 class NetDev {
  public:
-  NetDev(Simulator* sim, double link_rate_bps, int64_t chunk_bytes, const std::string& name,
-         bool priority_tx = true);
+  NetDev(Simulator* sim, double link_rate_bps, int64_t chunk_bytes, const std::string& name);
 
   Link& tx() { return tx_; }
   Link& rx() { return rx_; }

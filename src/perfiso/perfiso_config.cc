@@ -80,12 +80,6 @@ ConfigMap PerfIsoConfig::ToConfigMap() const {
   map.SetInt("memory.min_free_bytes", min_free_memory_bytes);
   map.SetInt("memory.check_every_n_polls", memory_check_every_n_polls);
   map.SetDouble("net.egress_rate_cap_bps", egress_rate_cap_bps);
-  map.SetDouble("net.link_rate_bps", net.link_rate_bps);
-  map.SetDouble("net.uplink_oversubscription", net.uplink_oversubscription);
-  map.SetInt("net.machines_per_rack", net.machines_per_rack);
-  map.SetInt("net.base_latency_us", static_cast<int64_t>(ToMicros(net.base_latency)));
-  map.SetInt("net.chunk_bytes", net.chunk_bytes);
-  map.SetBool("net.tx_priority", net.tx_priority);
   map.SetInt("io.window_polls", io_window_polls);
   map.SetInt("io.poll_interval_us", static_cast<int64_t>(ToMicros(io_poll_interval)));
   for (const IoOwnerLimit& limit : io_limits) {
@@ -171,32 +165,6 @@ StatusOr<PerfIsoConfig> ParseKnownKeys(const ConfigMap& map) {
   auto egress = map.GetDouble("net.egress_rate_cap_bps", config.egress_rate_cap_bps);
   PERFISO_RETURN_IF_ERROR(egress.status());
   config.egress_rate_cap_bps = *egress;
-
-  auto link_rate = map.GetDouble("net.link_rate_bps", config.net.link_rate_bps);
-  PERFISO_RETURN_IF_ERROR(link_rate.status());
-  config.net.link_rate_bps = *link_rate;
-
-  auto oversub =
-      map.GetDouble("net.uplink_oversubscription", config.net.uplink_oversubscription);
-  PERFISO_RETURN_IF_ERROR(oversub.status());
-  config.net.uplink_oversubscription = *oversub;
-
-  auto rack = map.GetInt32("net.machines_per_rack", config.net.machines_per_rack);
-  PERFISO_RETURN_IF_ERROR(rack.status());
-  config.net.machines_per_rack = *rack;
-
-  auto base_us = map.GetInt("net.base_latency_us",
-                            static_cast<int64_t>(ToMicros(config.net.base_latency)));
-  PERFISO_RETURN_IF_ERROR(base_us.status());
-  config.net.base_latency = FromMicros(static_cast<double>(*base_us));
-
-  auto chunk = map.GetInt("net.chunk_bytes", config.net.chunk_bytes);
-  PERFISO_RETURN_IF_ERROR(chunk.status());
-  config.net.chunk_bytes = *chunk;
-
-  auto tx_priority = map.GetBool("net.tx_priority", config.net.tx_priority);
-  PERFISO_RETURN_IF_ERROR(tx_priority.status());
-  config.net.tx_priority = *tx_priority;
 
   auto window = map.GetInt32("io.window_polls", config.io_window_polls);
   PERFISO_RETURN_IF_ERROR(window.status());
@@ -295,9 +263,6 @@ Status PerfIsoConfig::Validate(int num_cores) const {
   if (io_window_polls <= 0) {
     return InvalidArgumentError("io_window_polls must be positive");
   }
-  // The fabric validates its own tunables (including that base_latency is
-  // strictly positive — it doubles as the PDES lookahead).
-  PERFISO_RETURN_IF_ERROR(net.Validate());
   return OkStatus();
 }
 

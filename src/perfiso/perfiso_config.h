@@ -1,5 +1,8 @@
 // PerfIsoConfig: every tunable of the framework, serializable to the
-// cluster-wide key=value config format (§4).
+// cluster-wide key=value config format (§4). It holds only what PerfIso
+// applies: the fabric (link rates, racks, propagation delay) is the
+// environment, configured through FabricConfig, and a fabric key here is
+// rejected as unknown.
 #ifndef PERFISO_SRC_PERFISO_PERFISO_CONFIG_H_
 #define PERFISO_SRC_PERFISO_PERFISO_CONFIG_H_
 
@@ -7,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/net/fabric.h"
 #include "src/perfiso/policy.h"
 #include "src/util/config.h"
 #include "src/util/sim_time.h"
@@ -54,13 +56,10 @@ struct PerfIsoConfig {
   int64_t min_free_memory_bytes = 4LL * 1024 * 1024 * 1024;
   int memory_check_every_n_polls = 256;
 
-  // Egress throttle for the secondary (§3.2); <= 0 disables.
+  // Egress throttle for the secondary (§3.2); <= 0 disables. The other half
+  // of §3.2's network isolation, low-priority marking, is fixed: NIC TX
+  // always serves primary traffic first (src/net/netdev.h).
   double egress_rate_cap_bps = 0;
-
-  // Fabric parameters (src/net/): NIC link rate, ToR uplink oversubscription,
-  // whether the NIC TX honors priority classes, etc. Distributed with the
-  // rest of the config so a cluster deployment describes its network too.
-  FabricConfig net;
 
   // Static I/O limits and DWRR parameters for secondary I/O owners.
   std::vector<IoOwnerLimit> io_limits;

@@ -42,7 +42,6 @@ class LinuxPlatform : public Platform {
 
   // Registers a secondary-tenant process (and, transitively, its tasks).
   void AddSecondaryPid(pid_t pid);
-  const std::vector<pid_t>& secondary_pids() const { return pids_; }
 
   // Platform:
   int NumCores() const override;

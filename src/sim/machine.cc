@@ -11,18 +11,6 @@ namespace {
 constexpr SimDuration kBurstWindow = 5 * kMicrosecond;
 }  // namespace
 
-const char* TenantClassName(TenantClass tenant) {
-  switch (tenant) {
-    case TenantClass::kPrimary:
-      return "primary";
-    case TenantClass::kSecondary:
-      return "secondary";
-    case TenantClass::kOs:
-      return "os";
-  }
-  return "?";
-}
-
 SimMachine::SimMachine(Simulator* sim, const MachineSpec& spec, std::string name)
     : sim_(sim), spec_(spec), name_(std::move(name)) {
   assert(spec_.num_cores > 0 && spec_.num_cores <= CpuSet::kMaxCpus);

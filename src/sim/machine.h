@@ -46,7 +46,6 @@ namespace perfiso {
 enum class TenantClass { kPrimary = 0, kSecondary = 1, kOs = 2 };
 
 inline constexpr int kNumTenantClasses = 3;
-const char* TenantClassName(TenantClass tenant);
 
 // Static machine parameters (defaults model the paper's testbed: 2x Intel
 // Xeon E5-2673 v3, 48 logical cores, Windows-Server-style long quanta).

@@ -99,8 +99,6 @@ ParallelSimulation::~ParallelSimulation() {
   }
 }
 
-int ParallelSimulation::current_partition() { return tls_current_partition; }
-
 void ParallelSimulation::Post(int dst, SimTime deliver_time, std::function<void()> fn) {
   assert(dst >= 0 && dst < num_partitions());
   const int src = tls_current_partition;

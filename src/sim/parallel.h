@@ -13,7 +13,8 @@
 // Correctness (the conservative-lookahead argument, DESIGN.md §10): the
 // caller guarantees every cross-partition message posted at local time t
 // carries a delivery time >= t + L, where L is the minimum cross-partition
-// latency (for the cluster fabric, `net.base_latency` — one propagation hop).
+// latency (for the cluster fabric, `FabricConfig::base_latency` — one
+// propagation hop).
 // With W <= L, a message posted anywhere inside window [w, w + W) delivers at
 // >= w + W, i.e. never inside the window that produced it, so running the
 // partitions of one window concurrently can never miss or reorder a message
@@ -80,11 +81,6 @@ class ParallelSimulation {
 
   Simulator& sim(int partition) { return *sims_[static_cast<size_t>(partition)]; }
   const Simulator& sim(int partition) const { return *sims_[static_cast<size_t>(partition)]; }
-
-  // Partition whose window is executing on the calling thread, or -1 outside
-  // a window (setup, barrier merge). Cross-partition senders use this to
-  // identify their source mailbox row.
-  static int current_partition();
 
   // Delivers `fn` on partition `dst` at absolute time `deliver_time`.
   //   * From inside a window, posting to another partition: deposited into

@@ -442,8 +442,9 @@ void Simulator::Fire(uint32_t id, Event& e) {
 #endif
 }
 
-bool Simulator::Step() {
-  for (;;) {
+bool Simulator::FireNext(SimTime cap) {
+  // The guard keeps RunUntil(t < Now()) from firing anything.
+  while (now_ <= cap) {
     while (batch_pos_ < batch_.size()) {
       const BatchItem item = batch_[batch_pos_++];
       Event& e = Rec(item.id);
@@ -453,31 +454,17 @@ bool Simulator::Step() {
       Fire(item.id, e);
       return true;
     }
-    if (!DrainNextSlot(std::numeric_limits<SimTime>::max())) {
+    if (!DrainNextSlot(cap)) {
       return false;
     }
   }
+  return false;
 }
 
+bool Simulator::Step() { return FireNext(std::numeric_limits<SimTime>::max()); }
+
 void Simulator::RunUntil(SimTime until) {
-  while (now_ <= until) {
-    bool fired = false;
-    while (batch_pos_ < batch_.size()) {
-      const BatchItem item = batch_[batch_pos_++];
-      Event& e = Rec(item.id);
-      if (e.where != kWhereBatch || e.gen != item.gen || e.seq != item.seq) {
-        continue;
-      }
-      Fire(item.id, e);
-      fired = true;
-      break;
-    }
-    if (fired) {
-      continue;
-    }
-    if (!DrainNextSlot(until)) {
-      break;
-    }
+  while (FireNext(until)) {
   }
   if (now_ < until) {
     SetClockTo(until);

@@ -509,6 +509,9 @@ class Simulator {
   void DrainSlot(uint32_t slot);
   // Fires one validated batch record (the caller advanced the clock).
   void Fire(uint32_t id, Event& e);
+  // Fires the earliest pending event if its time is <= `cap`; returns false
+  // (without moving the clock past `cap`) when there is none.
+  bool FireNext(SimTime cap);
 
   void HeapPush(uint32_t id, SimTime time, uint64_t seq);
   void HeapRemoveAt(size_t pos);

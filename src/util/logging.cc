@@ -31,7 +31,6 @@ const char* LogLevelName(LogLevel level) {
   return "?";
 }
 
-void SetMinLogLevel(LogLevel level) { g_min_level = level; }
 LogLevel MinLogLevel() { return g_min_level; }
 
 void SetLogSink(LogSink sink) {

@@ -17,7 +17,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 const char* LogLevelName(LogLevel level);
 
 // Global minimum level; messages below it are dropped cheaply.
-void SetMinLogLevel(LogLevel level);
 LogLevel MinLogLevel();
 
 // Replaces the log sink. Passing nullptr restores the stderr sink.

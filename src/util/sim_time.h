@@ -29,9 +29,6 @@ inline constexpr SimDuration FromMillis(double ms) {
 inline constexpr SimDuration FromMicros(double us) {
   return static_cast<SimDuration>(us * static_cast<double>(kMicrosecond));
 }
-inline constexpr SimDuration FromSeconds(double s) {
-  return static_cast<SimDuration>(s * static_cast<double>(kSecond));
-}
 
 }  // namespace perfiso
 

@@ -61,14 +61,6 @@ void DiskBully::IssueOne() {
                         });
 }
 
-double DiskBully::AchievedIops(SimTime since, SimTime now, int64_t ios_then) const {
-  const double window_sec = ToSeconds(now - since);
-  if (window_sec <= 0) {
-    return 0;
-  }
-  return static_cast<double>(completed_ios_ - ios_then) / window_sec;
-}
-
 HdfsClient::HdfsClient(Simulator* sim, SimMachine* machine, IoScheduler* io, JobId job,
                        Options options, Rng rng)
     : sim_(sim), machine_(machine), io_(io), job_(job), options_(options), rng_(rng) {}
@@ -180,7 +172,6 @@ void NetworkBully::SendBlock() {
                           const int dst = options_.peers[pick];
                           fabric_->Send(endpoint_, dst, options_.block_bytes,
                                         NetClass::kSecondary, [this](SimTime) {
-                                          ++blocks_delivered_;
                                           bytes_delivered_ += options_.block_bytes;
                                           SendBlock();
                                         });

@@ -66,7 +66,6 @@ class DiskBully {
   void Stop();
 
   int64_t completed_ios() const { return completed_ios_; }
-  double AchievedIops(SimTime since, SimTime now, int64_t ios_then) const;
 
  private:
   void IssueOne();
@@ -139,7 +138,6 @@ class NetworkBully {
   void Start();
   void Stop();
 
-  int64_t blocks_delivered() const { return blocks_delivered_; }
   int64_t bytes_delivered() const { return bytes_delivered_; }
   double AchievedBps(SimTime since, SimTime now, int64_t bytes_then) const;
 
@@ -154,7 +152,6 @@ class NetworkBully {
   Options options_;
   Rng rng_;
   bool running_ = false;
-  int64_t blocks_delivered_ = 0;
   int64_t bytes_delivered_ = 0;
 };
 

@@ -18,9 +18,9 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "scripts", "check_bench_regression.py")
 
 
-def bench_doc(rows):
+def bench_doc(rows, scale=1):
     """rows: {label: {metric: value}} -> BENCH_*.json document."""
-    return {"bench": "test", "rows": [
+    return {"bench": "test", "scale": scale, "rows": [
         {"label": label, "metrics": metrics} for label, metrics in rows.items()
     ]}
 
@@ -37,15 +37,18 @@ BASELINE = {
 
 
 class GuardTest(unittest.TestCase):
-    def run_guard(self, baseline, fresh, *extra_args):
-        """Writes both docs to temp files and runs the guard; returns the result."""
+    def run_guard(self, baseline, fresh, *extra_args, fresh_scale=1):
+        """Writes both docs to temp files and runs the guard; returns the result.
+
+        The baseline is recorded at scale 1; `fresh_scale` sets the fresh run's.
+        """
         with tempfile.TemporaryDirectory() as tmp:
             base_path = os.path.join(tmp, "baseline.json")
             fresh_path = os.path.join(tmp, "fresh.json")
             with open(base_path, "w", encoding="utf-8") as f:
                 json.dump(bench_doc(baseline), f)
             with open(fresh_path, "w", encoding="utf-8") as f:
-                json.dump(bench_doc(fresh), f)
+                json.dump(bench_doc(fresh, fresh_scale), f)
             return subprocess.run(
                 [sys.executable, SCRIPT, "--fresh", fresh_path,
                  "--baseline", base_path, *extra_args],
@@ -136,6 +139,13 @@ class GuardTest(unittest.TestCase):
                 capture_output=True, text=True)
         self.assertNotEqual(result.returncode, 0)
         self.assertIn(f"cannot read {missing}", result.stderr)
+
+    def test_scale_mismatch_fails(self):
+        # A reduced-scale run reads a different normalized ratio than the
+        # scale-1 baseline, so even identical rows must not be compared.
+        result = self.run_guard(BASELINE, BASELINE, fresh_scale=0.05)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("scale", result.stderr)
 
     def test_usage_error_on_bad_max_drop(self):
         result = self.run_guard(BASELINE, BASELINE, "--max-drop", "1.5")

@@ -42,6 +42,15 @@ TEST(NetTest, ConfigValidateRejectsNonPositiveBaseLatency) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
+TEST(NetDeathTest, FabricConstructorAbortsOnInvalidConfig) {
+  // The constructor enforces Validate in release builds too, so a zero
+  // lookahead never reaches the partitioned engine.
+  FabricConfig config = TestConfig();
+  config.base_latency = 0;
+  Simulator sim;
+  EXPECT_DEATH(Fabric(&sim, config), "invalid FabricConfig: base_latency");
+}
+
 TEST(NetTest, ConfigValidateRejectsOtherNonPhysicalSettings) {
   {
     FabricConfig config = TestConfig();
@@ -118,21 +127,6 @@ TEST(NetTest, PrimaryPreemptsSecondaryInTxQueues) {
   // One 64 KB chunk in front (655 us) + own TX + base + RX: well under 2 ms.
   EXPECT_LT(primary_done, FromMillis(2));
   EXPECT_GT(secondary_done, FromMillis(100));  // 10 MB twice at 100 MB/s
-}
-
-TEST(NetTest, FifoTxHeadOfLineBlocksWithoutPriorityClasses) {
-  Simulator sim;
-  FabricConfig config = TestConfig();
-  config.tx_priority = false;
-  Fabric fabric(&sim, config);
-  fabric.AttachMachine("a");
-  fabric.AttachMachine("b");
-  SimTime primary_done = -1;
-  fabric.Send(0, 1, 10 * 1024 * 1024, NetClass::kSecondary, nullptr);
-  fabric.Send(0, 1, 16 * 1024, NetClass::kPrimary, [&](SimTime now) { primary_done = now; });
-  sim.RunUntilEmpty();
-  // The RPC sits behind the whole 10 MB block: > 100 ms instead of < 2 ms.
-  EXPECT_GT(primary_done, FromMillis(100));
 }
 
 TEST(NetTest, SecondaryChunksDrainTheEgressBucket) {

@@ -227,6 +227,28 @@ TEST(ScenarioSpecTest, ProbabilisticTraceSamplingRejected) {
   }
 }
 
+TEST(ScenarioSpecTest, FabricKeysInsidePerfIsoRejected) {
+  // PerfIso applies no fabric setting, so a fabric key in perfiso.* is an
+  // error rather than a knob that silently changes nothing.
+  auto map = ConfigMap::Parse(
+      "workload.isolation = perfiso\n"
+      "perfiso.net.link_rate_bps = 1000000\n");
+  ASSERT_TRUE(map.ok());
+  const auto parsed = ScenarioSpec::FromConfigMap(*map);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("net.link_rate_bps"), std::string::npos)
+      << parsed.status().ToString();
+
+  auto egress = ConfigMap::Parse(
+      "workload.isolation = perfiso\n"
+      "perfiso.net.egress_rate_cap_bps = 500000000\n");
+  ASSERT_TRUE(egress.ok());
+  const auto capped = ScenarioSpec::FromConfigMap(*egress);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  ASSERT_TRUE(capped->perfiso.has_value());
+  EXPECT_DOUBLE_EQ(capped->perfiso->egress_rate_cap_bps, 5e8);
+}
+
 TEST(ScenarioSpecTest, PerfIsoKeysWithoutIsolationRejected) {
   ConfigMap map;
   map.SetInt("perfiso.cpu.buffer_cores", 8);  // but workload.isolation = none
