@@ -58,14 +58,26 @@ std::string JsonEscape(const std::string& in) {
   return out;
 }
 
+// A bench whose artifact could not be written must not look successful: a
+// script that runs it and then reads the file would fail later, or read a
+// stale copy. Ends the process at once with status 1 (std::_Exit, because
+// this also runs inside the at-exit report writer, where std::exit is not
+// allowed), after flushing what the bench already printed.
+[[noreturn]] void DieCannotWrite(const std::string& path) {
+  std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+  std::fflush(nullptr);
+  std::_Exit(1);
+}
+
 void WriteTextFile(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
+    DieCannotWrite(path);
   }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
+  const bool wrote = std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  if (std::fclose(f) != 0 || !wrote) {
+    DieCannotWrite(path);
+  }
 }
 
 }  // namespace
@@ -122,8 +134,7 @@ void FinishReport() {
   const std::string path = BenchOutPath("BENCH_" + report->name + ".json");
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
+    DieCannotWrite(path);
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"scale\": %.6g,\n  \"rows\": [",
                JsonEscape(report->name).c_str(), BenchScale());
@@ -138,7 +149,10 @@ void FinishReport() {
     std::fprintf(f, "}}");
   }
   std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
+  const bool failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || failed) {
+    DieCannotWrite(path);
+  }
   std::printf("wrote %s (%zu rows)\n", path.c_str(), report->rows.size());
 }
 

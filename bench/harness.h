@@ -252,7 +252,9 @@ void ReportRow(const std::string& label,
                const std::vector<std::pair<std::string, double>>& metrics);
 // Records the standard single-box row (what PrintRow also does internally).
 void RecordRow(const std::string& label, const SingleBoxResult& result);
-// Serializes the report now; otherwise runs automatically at exit.
+// Serializes the report now; otherwise runs automatically at exit. A report
+// (or any other bench artifact) that cannot be written ends the process with
+// status 1.
 void FinishReport();
 
 // --- Output helpers -----------------------------------------------------------

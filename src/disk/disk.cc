@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "src/disk/io_scheduler.h"
+
 namespace perfiso {
 
 DiskSpec DiskSpec::Ssd() {
@@ -27,8 +29,8 @@ DiskSpec DiskSpec::Hdd() {
   return spec;
 }
 
-DiskDevice::DiskDevice(Simulator* sim, DiskSpec spec, std::string name)
-    : sim_(sim), spec_(std::move(spec)), name_(std::move(name)) {
+DiskDevice::DiskDevice(Simulator* sim, DiskSpec spec, std::string name, StripedVolume* volume)
+    : sim_(sim), spec_(std::move(spec)), name_(std::move(name)), volume_(volume) {
   assert(spec_.concurrency > 0 && spec_.bandwidth_bps > 0);
 }
 
@@ -70,47 +72,52 @@ size_t DiskDevice::AllocInflightSlot() {
 
 void DiskDevice::TryStart() {
   while (active_ < spec_.concurrency && !queue_.empty()) {
-    IoRequest request = std::move(queue_.front());
+    const size_t slot = AllocInflightSlot();
+    InFlight& inflight = inflight_[slot];
+    inflight.request = std::move(queue_.front());
     queue_.pop_front();
+    const IoRequest& request = inflight.request;
     const SimDuration service = ServiceTime(request);
     ++active_;
     busy_ns_ += service;
-    const size_t slot = AllocInflightSlot();
-    const int64_t bytes = request.bytes;
-    inflight_[slot].started = sim_->Now();
-    inflight_[slot].service = service;
-    inflight_[slot].trace_ctx = request.trace_ctx;
+    inflight.started = sim_->Now();
+    inflight.service = service;
     if (tracer_ != nullptr && request.trace_ctx != 0 &&
         sim_->Now() > request.submit_time) {
       tracer_->Span(request.trace_ctx, "disk.queue", SpanCategory::kDiskQueue,
                     track_, request.submit_time, sim_->Now());
     }
-    // Capture only what the completion needs (this + slot + bytes + the
-    // callback) so the event stays within the engine's inline budget; disk
-    // completions are the fattest hot-path event, so guard the budget at
-    // compile time rather than spilling silently. The trace context rides in
-    // the inflight slot for the same reason.
-    auto completion = [this, slot, bytes, done = std::move(request.on_complete)] {
-      const SimTime started = inflight_[slot].started;
-      const uint64_t trace_ctx = inflight_[slot].trace_ctx;
-      inflight_[slot] = InFlight{};
-      free_slots_.push_back(slot);
-      --active_;
-      ++completed_ops_;
-      completed_bytes_ += bytes;
-      if (tracer_ != nullptr && trace_ctx != 0) {
-        tracer_->Span(trace_ctx, "disk.service", SpanCategory::kService, track_,
-                      started, sim_->Now());
-      }
-      if (done) {
-        done(sim_->Now());
-      }
-      TryStart();
-    };
-    static_assert(sizeof(completion) <= EventCallback::kInlineBytes,
-                  "disk completion events must stay inline in the event pool");
-    inflight_[slot].done_event = sim_->ScheduleAfter(service, std::move(completion));
+    inflight.done_event = sim_->ScheduleAfter(service, [this, slot] { Complete(slot); });
   }
+}
+
+void DiskDevice::Complete(size_t slot) {
+  const SimTime now = sim_->Now();
+  const SimTime started = inflight_[slot].started;
+  IoRequest request = std::move(inflight_[slot].request);
+  inflight_[slot] = InFlight{};
+  free_slots_.push_back(slot);
+  --active_;
+  ++completed_ops_;
+  completed_bytes_ += request.bytes;
+  if (tracer_ != nullptr && request.trace_ctx != 0) {
+    tracer_->Span(request.trace_ctx, "disk.service", SpanCategory::kService, track_, started,
+                  now);
+  }
+  if (volume_ != nullptr) {
+    volume_->SettleCompleted(request, now);
+  }
+  IoScheduler* scheduler = request.scheduler;
+  if (scheduler != nullptr) {
+    scheduler->SettleCompleted(request, now);
+  }
+  if (request.on_complete) {
+    request.on_complete(now);
+  }
+  if (scheduler != nullptr) {
+    scheduler->Pump();
+  }
+  TryStart();
 }
 
 int DiskDevice::CancelAll() {
@@ -137,27 +144,21 @@ StripedVolume::StripedVolume(Simulator* sim, const DiskSpec& spec, int num_drive
   drives_.reserve(static_cast<size_t>(num_drives));
   for (int i = 0; i < num_drives; ++i) {
     drives_.push_back(
-        std::make_unique<DiskDevice>(sim, spec, name_ + "-d" + std::to_string(i)));
+        std::make_unique<DiskDevice>(sim, spec, name_ + "-d" + std::to_string(i), this));
   }
 }
 
 void StripedVolume::Submit(IoRequest request) {
   request.submit_time = sim_->Now();
-  OwnerIoStats& stats = owner_stats_[request.owner];
-  auto user_cb = std::move(request.on_complete);
-  const SimTime submit_time = request.submit_time;
-  const int64_t bytes = request.bytes;
-  request.on_complete = [this, &stats, submit_time, bytes,
-                         user_cb = std::move(user_cb)](SimTime now) {
-    ++stats.ops;
-    stats.bytes += bytes;
-    stats.latency_us.Add(ToMicros(now - submit_time));
-    if (user_cb) {
-      user_cb(now);
-    }
-  };
   drives_[next_drive_]->Submit(std::move(request));
   next_drive_ = (next_drive_ + 1) % drives_.size();
+}
+
+void StripedVolume::SettleCompleted(const IoRequest& request, SimTime now) {
+  OwnerIoStats& stats = owner_stats_[request.owner];
+  ++stats.ops;
+  stats.bytes += request.bytes;
+  stats.latency_us.Add(ToMicros(now - request.submit_time));
 }
 
 int StripedVolume::CancelAll() {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,10 +18,14 @@
 
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
+#include "src/util/inline_function.h"
 #include "src/util/sim_time.h"
 #include "src/util/stats.h"
 
 namespace perfiso {
+
+class IoScheduler;
+class StripedVolume;
 
 enum class IoOp { kRead, kWrite };
 
@@ -43,16 +46,29 @@ struct DiskSpec {
 
 // One I/O request. `owner` tags the submitting process for per-tenant
 // accounting and throttling. The completion callback runs in simulation time.
+//
+// The layers a request passes through (IoScheduler, StripedVolume) do not
+// wrap `on_complete`; they record what their accounting needs here, and the
+// serving drive settles every layer in order when the request completes (see
+// DiskDevice::Complete).
 struct IoRequest {
+  // Sized for the fattest caller, the index server's chunk read
+  // [this, query id, chunk, size factor, trace context].
+  using CompletionFn = InlineFunction<void(SimTime), 48>;
+
   int owner = 0;
   IoOp op = IoOp::kRead;
   int64_t bytes = 4096;
   bool sequential = false;
-  std::function<void(SimTime)> on_complete;
+  CompletionFn on_complete;
   SimTime submit_time = 0;  // filled by the volume on submission
   // Query trace this request belongs to (0 = untraced): its queueing and
   // service become disk-queue/service spans on the serving drive's track.
   uint64_t trace_ctx = 0;
+  // Set by the IoScheduler that admitted the request (null when submitted
+  // straight to a volume or drive), with the time it was admitted.
+  IoScheduler* scheduler = nullptr;
+  SimTime sched_submit_time = 0;
 };
 
 // Cumulative per-owner I/O accounting.
@@ -64,7 +80,9 @@ struct OwnerIoStats {
 
 class DiskDevice {
  public:
-  DiskDevice(Simulator* sim, DiskSpec spec, std::string name);
+  // `volume`, when set, is the stripe this drive belongs to; its per-owner
+  // accounting is settled on every completion.
+  DiskDevice(Simulator* sim, DiskSpec spec, std::string name, StripedVolume* volume = nullptr);
 
   DiskDevice(const DiskDevice&) = delete;
   DiskDevice& operator=(const DiskDevice&) = delete;
@@ -74,8 +92,9 @@ class DiskDevice {
 
   // Device-reset model (power loss / hot unplug, for failure-injection
   // scenarios): drops every queued request and cancels every in-flight
-  // completion eagerly — no completion callback runs, and the cancelled
-  // events leave the simulator queue. Returns the number of dropped requests.
+  // completion eagerly — no completion callback runs, no layer's accounting
+  // is settled, and the cancelled events leave the simulator queue. Returns
+  // the number of dropped requests.
   int CancelAll();
 
   size_t QueueDepth() const { return queue_.size() + static_cast<size_t>(active_); }
@@ -101,26 +120,31 @@ class DiskDevice {
  private:
   void TryStart();
   size_t AllocInflightSlot();
+  // Completion of the request in `slot`. Order: the drive's own counters,
+  // the volume's per-owner accounting, the admitting scheduler's accounting
+  // (which frees its outstanding slot), the user callback, the scheduler's
+  // next dispatch round, then this drive's next start.
+  void Complete(size_t slot);
 
   Simulator* sim_;
   DiskSpec spec_;
   std::string name_;
+  StripedVolume* volume_;
   Tracer* tracer_ = nullptr;
   int32_t track_ = Tracer::kNoTrack;
   std::deque<IoRequest> queue_;
-  // Requests inside the device: the completion event (so CancelAll can pull
-  // it out of the simulator queue) and the dispatch time + service charged to
-  // busy_ns_ up front (the unserved remainder is rolled back on cancel).
-  // Slots recycle via free_slots_.
+  // Requests inside the device: the request itself, its completion event
+  // (so CancelAll can pull it out of the simulator queue; the event captures
+  // only [this, slot]) and the dispatch time + service charged to busy_ns_
+  // up front (the unserved remainder is rolled back on cancel). Slots
+  // recycle via free_slots_.
   struct InFlight {
     // Lifecycle owned by DiskDevice: completion resets the slot, CancelAll
     // pulls every armed event before reuse.
     EventHandle done_event;  // NOLINT(perfiso-LIFE-001)
     SimTime started = 0;
     SimDuration service = 0;
-    // Stored here rather than captured: the completion lambda exactly fills
-    // the event pool's inline budget.
-    uint64_t trace_ctx = 0;
+    IoRequest request;
   };
   std::vector<InFlight> inflight_;
   std::vector<size_t> free_slots_;
@@ -136,6 +160,10 @@ class DiskDevice {
 class StripedVolume {
  public:
   StripedVolume(Simulator* sim, const DiskSpec& spec, int num_drives, std::string name);
+
+  // Drives hold a pointer back to their volume.
+  StripedVolume(const StripedVolume&) = delete;
+  StripedVolume& operator=(const StripedVolume&) = delete;
 
   void Submit(IoRequest request);
 
@@ -163,6 +191,10 @@ class StripedVolume {
   int EnableTracing(Tracer* tracer);
 
  private:
+  friend class DiskDevice;
+  // Per-owner accounting for a completed request (called by the drive).
+  void SettleCompleted(const IoRequest& request, SimTime now);
+
   Simulator* sim_;
   std::string name_;
   std::vector<std::unique_ptr<DiskDevice>> drives_;

@@ -93,26 +93,21 @@ StatusOr<int> IoScheduler::Priority(int owner) const {
 void IoScheduler::Submit(IoRequest request) {
   Owner& owner = GetOrCreateOwner(request.owner);
   ++owner.stats.submitted;
-  const SimTime submitted = sim_->Now();
-  OwnerSchedStats& stats = owner.stats;
-  auto user_cb = std::move(request.on_complete);
-  const int64_t bytes = request.bytes;
-  request.on_complete = [this, &stats, submitted, bytes,
-                         user_cb = std::move(user_cb)](SimTime now) {
-    ++stats.completed;
-    stats.bytes_completed += bytes;
-    stats.total_latency_us.Add(ToMicros(now - submitted));
-    --outstanding_;
-    if (user_cb) {
-      user_cb(now);
-    }
-    Pump();
-  };
-  // Stamp scheduler entry so the dispatch below can report queueing time;
-  // the volume overwrites this with the dispatch time on its own Submit.
-  request.submit_time = submitted;
+  // The serving drive settles this scheduler's accounting on completion.
+  request.scheduler = this;
+  request.sched_submit_time = sim_->Now();
   owner.queue.push_back(std::move(request));
   Pump();
+}
+
+void IoScheduler::SettleCompleted(const IoRequest& request, SimTime now) {
+  const auto it = owners_.find(request.owner);
+  assert(it != owners_.end());  // Submit registered the owner
+  OwnerSchedStats& stats = it->second.stats;
+  ++stats.completed;
+  stats.bytes_completed += request.bytes;
+  stats.total_latency_us.Add(ToMicros(now - request.sched_submit_time));
+  --outstanding_;
 }
 
 int IoScheduler::CancelAll() {
@@ -123,9 +118,9 @@ int IoScheduler::CancelAll() {
     entry.second.deficit_bytes = 0;
   }
   dropped += volume_->CancelAll();
-  // The cancelled in-flight requests would have decremented outstanding_ in
-  // their completion wrapper; that wrapper will never run now, so reset the
-  // count here or dispatch stalls forever after a restart.
+  // The cancelled in-flight requests would have decremented outstanding_ on
+  // completion; they will never complete now, so reset the count here or
+  // dispatch stalls forever after a restart.
   outstanding_ = 0;
   resume_owner_ = {-1, -1, -1};
   sim_->CancelOwned(retry_event_);
@@ -165,8 +160,11 @@ void IoScheduler::ChargeCaps(Owner& owner, const IoRequest& request, SimTime now
 
 bool IoScheduler::ServeBand(int priority, SimTime now, SimTime* earliest_retry) {
   // Owners in this band with pending work, in stable (id) order. An owner
-  // whose queue drained loses its banked deficit (standard DWRR).
-  std::vector<std::map<int, Owner>::iterator> band;
+  // whose queue drained loses its banked deficit (standard DWRR). The list
+  // lives in a member so its capacity is reused; ServeBand never re-enters
+  // (handing a request to the volume only schedules events).
+  std::vector<std::map<int, Owner>::iterator>& band = band_scratch_;
+  band.clear();
   for (auto it = owners_.begin(); it != owners_.end(); ++it) {
     if (it->second.priority != priority) {
       continue;
@@ -242,9 +240,9 @@ bool IoScheduler::ServeBand(int priority, SimTime now, SimTime* earliest_retry) 
       ++owner.stats.dispatched;
       ++outstanding_;
       if (tracer_ != nullptr && request.trace_ctx != 0 &&
-          now > request.submit_time) {
+          now > request.sched_submit_time) {
         tracer_->Span(request.trace_ctx, "io.sched.queue",
-                      SpanCategory::kDiskQueue, track_, request.submit_time, now);
+                      SpanCategory::kDiskQueue, track_, request.sched_submit_time, now);
       }
       volume_->Submit(std::move(request));
       progressed = true;

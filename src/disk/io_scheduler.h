@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/disk/disk.h"
 #include "src/sim/simulator.h"
@@ -83,6 +84,8 @@ class IoScheduler {
   void EnableTracing(Tracer* tracer, int process);
 
  private:
+  friend class DiskDevice;
+
   struct Owner {
     std::string name;
     int priority = kNumPriorities - 1;
@@ -95,6 +98,9 @@ class IoScheduler {
   };
 
   Owner& GetOrCreateOwner(int owner);
+  // Accounting for a completed request this scheduler admitted (called by
+  // the serving drive before the user callback; Pump follows it).
+  void SettleCompleted(const IoRequest& request, SimTime now);
   // Dispatches as many requests as limits allow; arms a retry timer when
   // progress is blocked only by token buckets.
   void Pump();
@@ -110,6 +116,9 @@ class IoScheduler {
   int max_outstanding_;
   int outstanding_ = 0;
   std::map<int, Owner> owners_;
+  // ServeBand's per-call list of the band's owners, kept to reuse its
+  // capacity.
+  std::vector<std::map<int, Owner>::iterator> band_scratch_;
   std::array<int, kNumPriorities> last_served_ = {-1, -1, -1};
   // Owner owed further service in the band (drain cut short by the
   // outstanding bound); -1 when none.

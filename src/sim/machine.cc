@@ -9,6 +9,17 @@ namespace perfiso {
 namespace {
 // Window for the "threads ready per 5 us" burstiness metric (§1).
 constexpr SimDuration kBurstWindow = 5 * kMicrosecond;
+
+// Folds one dispatch into Metrics::dispatch_digest (FNV-1a style, one
+// 64-bit word per field).
+uint64_t MixDispatch(uint64_t digest, SimTime now, int core, int tid) {
+  constexpr uint64_t kPrime = 0x100000001b3ULL;
+  for (const uint64_t field :
+       {static_cast<uint64_t>(now), static_cast<uint64_t>(core), static_cast<uint64_t>(tid)}) {
+    digest = (digest ^ field) * kPrime;
+  }
+  return digest;
+}
 }  // namespace
 
 SimMachine::SimMachine(Simulator* sim, const MachineSpec& spec, std::string name)
@@ -197,7 +208,10 @@ ThreadId SimMachine::SpawnThread(TenantClass tenant, JobId job, SimDuration work
                                  CompletionFn on_complete, uint64_t trace_ctx) {
   const int tid = AllocThreadSlot();
   Thread& t = threads_[static_cast<size_t>(tid)];
-  t = Thread{};
+  // A recycled slot is already idle (not queued, no slice event, no
+  // callback); the slice fields are set by Dispatch before anything reads
+  // them, so only the per-thread identity and counters are reset here.
+  assert(t.state == Thread::State::kFree && !t.queued && !t.slice_event.valid() && !t.on_complete);
   t.tenant = tenant;
   t.job = job.valid() ? job.value : -1;
   t.state = Thread::State::kReady;
@@ -205,10 +219,13 @@ ThreadId SimMachine::SpawnThread(TenantClass tenant, JobId job, SimDuration work
   t.loop = false;
   t.on_complete = std::move(on_complete);
   t.core = -1;
+  t.cpu_time = 0;
   t.trace_ctx = trace_ctx;
   if (t.job >= 0) {
-    assert(jobs_[static_cast<size_t>(t.job)].live);
-    jobs_[static_cast<size_t>(t.job)].threads.push_back(tid);
+    Job& owner = jobs_[static_cast<size_t>(t.job)];
+    assert(owner.live);
+    t.job_pos = static_cast<int>(owner.threads.size());
+    owner.threads.push_back(tid);
   }
   ++metrics_.threads_spawned;
   t.ready_since = sim_->Now();
@@ -308,9 +325,8 @@ Status SimMachine::SetJobSuspended(JobId job_id, bool suspended) {
       cores_[static_cast<size_t>(core)].running = -1;
       freed_cores.push_back(core);
       t.state = Thread::State::kReady;
-      t.queued = true;
       t.ready_since = sim_->Now();
-      cores_[static_cast<size_t>(core)].ready.push_back(tid);
+      Enqueue(core, tid);
     }
     for (int core : freed_cores) {
       if (cores_[static_cast<size_t>(core)].running < 0) {
@@ -389,6 +405,11 @@ int SimMachine::PickIdleCore(const CpuSet& eff, int preferred) const {
 }
 
 int SimMachine::PickQueueCore(const CpuSet& eff) const {
+  // The lowest allowed core with an empty queue wins outright.
+  const int empty = eff.Minus(nonempty_queues_).Lowest();
+  if (empty >= 0) {
+    return empty;
+  }
   int best = -1;
   size_t best_len = 0;
   for (int core = eff.Lowest(); core >= 0; core = eff.NextAfter(core)) {
@@ -423,9 +444,41 @@ void SimMachine::MakeReady(int tid) {
   }
   const int queue_core = PickQueueCore(eff);
   assert(queue_core >= 0);
-  t.core = queue_core;
+  Enqueue(queue_core, tid);
+}
+
+void SimMachine::Enqueue(int core, int tid) {
+  Thread& t = threads_[static_cast<size_t>(tid)];
+  t.core = core;
   t.queued = true;
-  cores_[static_cast<size_t>(queue_core)].ready.push_back(tid);
+  cores_[static_cast<size_t>(core)].ready.push_back(tid);
+  nonempty_queues_.Set(core);
+  ++(t.job < 0 ? unmanaged_queued_ : jobs_[static_cast<size_t>(t.job)].queued_count);
+}
+
+std::deque<int>::iterator SimMachine::Dequeue(int core, std::deque<int>::iterator it) {
+  Thread& t = threads_[static_cast<size_t>(*it)];
+  assert(t.queued && t.core == core);
+  t.queued = false;
+  --(t.job < 0 ? unmanaged_queued_ : jobs_[static_cast<size_t>(t.job)].queued_count);
+  std::deque<int>& ready = cores_[static_cast<size_t>(core)].ready;
+  it = ready.erase(it);
+  if (ready.empty()) {
+    nonempty_queues_.Clear(core);
+  }
+  return it;
+}
+
+bool SimMachine::HasEligibleQueued(int core) const {
+  if (unmanaged_queued_ > 0) {
+    return true;
+  }
+  for (const Job& job : jobs_) {
+    if (job.queued_count > 0 && !job.throttled && !job.suspended && job.affinity.Test(core)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void SimMachine::Dispatch(int core, int tid, bool context_switch) {
@@ -461,14 +514,15 @@ void SimMachine::Dispatch(int core, int tid, bool context_switch) {
   if (t.state != Thread::State::kRunning && t.job >= 0) {
     ++jobs_[static_cast<size_t>(t.job)].running_count;
   }
+  assert(!t.queued);  // callers take the thread out of its queue first
   t.state = Thread::State::kRunning;
-  t.queued = false;
   t.core = core;
   t.slice_start = sim_->Now();
   t.slice_overhead = overhead;
   c.running = tid;
   idle_mask_.Clear(core);
   ++metrics_.dispatches;
+  metrics_.dispatch_digest = MixDispatch(metrics_.dispatch_digest, sim_->Now(), core, tid);
 
   t.slice_event = sim_->Schedule(sim_->Now() + overhead + run_len,
                                  [this, core, tid] { OnSliceEnd(core, tid); });
@@ -568,10 +622,9 @@ void SimMachine::OnSliceEnd(int core, int tid) {
     ++metrics_.preemptions;
     NoteStopRunning(t);
     t.state = Thread::State::kReady;
-    t.queued = true;
     t.ready_since = sim_->Now();
     c.running = -1;
-    c.ready.push_back(tid);  // t.core stays == core
+    Enqueue(core, tid);
     DispatchNext(core);
   } else {
     Dispatch(core, tid, /*context_switch=*/false);  // fresh quantum, no switch cost
@@ -588,8 +641,7 @@ void SimMachine::DispatchNext(int core) {
     const int tid = *it;
     Thread& t = threads_[static_cast<size_t>(tid)];
     if (!EffectiveAffinity(t).Test(core)) {
-      it = c.ready.erase(it);
-      t.queued = false;
+      it = Dequeue(core, it);
       t.core = -1;
       displaced.push_back(tid);
       continue;
@@ -599,19 +651,22 @@ void SimMachine::DispatchNext(int core) {
       continue;
     }
     chosen = tid;
-    c.ready.erase(it);
-    t.queued = false;
+    Dequeue(core, it);
     break;
   }
 
-  if (chosen < 0) {
-    // Work stealing: take the longest-waiting eligible thread from any other
-    // core's queue. This keeps the machine approximately work-conserving
-    // while preserving the no-wake-preemption property.
+  // Work stealing: take the longest-waiting eligible thread from any other
+  // core's queue. This keeps the machine approximately work-conserving
+  // while preserving the no-wake-preemption property. Whatever is left in
+  // this core's own queue is ineligible here, so the per-job counts answer
+  // "is there anything to steal?" without a scan, and only non-empty queues
+  // are visited.
+  if (chosen < 0 && HasEligibleQueued(core)) {
     int victim_core = -1;
     std::deque<int>::iterator victim_it;
     SimTime oldest = 0;
-    for (int other = 0; other < spec_.num_cores; ++other) {
+    for (int other = nonempty_queues_.Lowest(); other >= 0;
+         other = nonempty_queues_.NextAfter(other)) {
       if (other == core) {
         continue;
       }
@@ -626,15 +681,13 @@ void SimMachine::DispatchNext(int core) {
           victim_it = it;
           oldest = w.ready_since;
         }
-        break;  // queues are FIFO; the front-most eligible is the oldest here
+        break;  // the front-most eligible thread is this queue's candidate
       }
     }
-    if (victim_core >= 0) {
-      chosen = *victim_it;
-      cores_[static_cast<size_t>(victim_core)].ready.erase(victim_it);
-      threads_[static_cast<size_t>(chosen)].queued = false;
-      ++metrics_.steals;
-    }
+    assert(victim_core >= 0);
+    chosen = *victim_it;
+    Dequeue(victim_core, victim_it);
+    ++metrics_.steals;
   }
 
   if (chosen >= 0) {
@@ -650,11 +703,10 @@ void SimMachine::DispatchNext(int core) {
 
 void SimMachine::RemoveFromQueue(Thread& t, int tid) {
   assert(t.queued && t.core >= 0);
-  Core& c = cores_[static_cast<size_t>(t.core)];
-  auto it = std::find(c.ready.begin(), c.ready.end(), tid);
-  assert(it != c.ready.end());
-  c.ready.erase(it);
-  t.queued = false;
+  std::deque<int>& ready = cores_[static_cast<size_t>(t.core)].ready;
+  auto it = std::find(ready.begin(), ready.end(), tid);
+  assert(it != ready.end());
+  Dequeue(t.core, it);
   t.core = -1;
 }
 
@@ -679,9 +731,8 @@ void SimMachine::ThrottleJob(int job_id) {
     cores_[static_cast<size_t>(core)].running = -1;
     freed_cores.push_back(core);
     t.state = Thread::State::kReady;
-    t.queued = true;
     t.ready_since = sim_->Now();
-    cores_[static_cast<size_t>(core)].ready.push_back(tid);  // t.core stays
+    Enqueue(core, tid);
   }
   if (!sim_->Pending(job.unthrottle_event)) {
     const SimTime boundary =
@@ -739,14 +790,17 @@ void SimMachine::FinishThread(int tid, bool run_callback) {
   sim_->CancelOwned(t.slice_event);  // no-op on the completion path (already fired + cleared)
   t.state = Thread::State::kFinished;
   if (t.job >= 0) {
+    // Swap-with-back removal: the resulting order of `threads` feeds the
+    // affinity, suspend and throttle loops, so it must stay exactly this.
     auto& siblings = jobs_[static_cast<size_t>(t.job)].threads;
-    auto it = std::find(siblings.begin(), siblings.end(), tid);
-    assert(it != siblings.end());
-    *it = siblings.back();
+    const auto pos = static_cast<size_t>(t.job_pos);
+    assert(pos < siblings.size() && siblings[pos] == tid);
+    siblings[pos] = siblings.back();
+    threads_[static_cast<size_t>(siblings[pos])].job_pos = t.job_pos;
     siblings.pop_back();
+    t.job_pos = -1;
   }
   CompletionFn callback = std::move(t.on_complete);
-  t.on_complete = nullptr;
   t.state = Thread::State::kFree;
   free_threads_.push_back(tid);
   if (run_callback && callback) {
@@ -777,6 +831,12 @@ Status SimMachine::CheckInvariants() const {
         return InternalError("queued thread state mismatch on core " + std::to_string(core));
       }
     }
+    if (c.ready.empty() == nonempty_queues_.Test(core)) {
+      return InternalError("non-empty-queue mask disagrees with core " + std::to_string(core));
+    }
+  }
+  if (!nonempty_queues_.Minus(all_cores_).Empty()) {
+    return InternalError("non-empty-queue mask names a core the machine lacks");
   }
   // Every ready+queued thread appears in exactly one queue; job bookkeeping.
   std::vector<int> queue_appearances(threads_.size(), 0);
@@ -785,9 +845,15 @@ Status SimMachine::CheckInvariants() const {
       ++queue_appearances[static_cast<size_t>(tid)];
     }
   }
+  // The queued counts that gate work stealing, recounted from scratch.
+  std::vector<int> queued_per_job(jobs_.size(), 0);
+  int unmanaged_queued = 0;
   for (size_t tid = 0; tid < threads_.size(); ++tid) {
     const Thread& t = threads_[tid];
     const int expected = t.state == Thread::State::kReady && t.queued ? 1 : 0;
+    if (expected == 1) {
+      ++(t.job < 0 ? unmanaged_queued : queued_per_job[static_cast<size_t>(t.job)]);
+    }
     if (queue_appearances[tid] != expected) {
       return InternalError("thread " + std::to_string(tid) + " appears in " +
                            std::to_string(queue_appearances[tid]) + " queues, expected " +
@@ -798,12 +864,21 @@ Status SimMachine::CheckInvariants() const {
                            " still has a pending slice event");
     }
   }
+  if (unmanaged_queued != unmanaged_queued_) {
+    return InternalError("unmanaged queued count " + std::to_string(unmanaged_queued_) +
+                         " != actual " + std::to_string(unmanaged_queued));
+  }
   for (size_t job_id = 0; job_id < jobs_.size(); ++job_id) {
     const Job& job = jobs_[job_id];
+    if (job.queued_count != queued_per_job[job_id]) {
+      return InternalError("job " + job.name + " queued_count " +
+                           std::to_string(job.queued_count) + " != actual " +
+                           std::to_string(queued_per_job[job_id]));
+    }
     int running = 0;
-    for (int tid : job.threads) {
-      const Thread& t = threads_[static_cast<size_t>(tid)];
-      if (t.job != static_cast<int>(job_id)) {
+    for (size_t pos = 0; pos < job.threads.size(); ++pos) {
+      const Thread& t = threads_[static_cast<size_t>(job.threads[pos])];
+      if (t.job != static_cast<int>(job_id) || t.job_pos != static_cast<int>(pos)) {
         return InternalError("job thread list mismatch for job " + job.name);
       }
       if (t.state == Thread::State::kRunning) {

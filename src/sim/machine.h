@@ -28,13 +28,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 #include "src/util/cpu_set.h"
+#include "src/util/inline_function.h"
 #include "src/util/sim_time.h"
 #include "src/util/stats.h"
 #include "src/util/status.h"
@@ -82,7 +82,10 @@ struct ThreadId {
 
 class SimMachine {
  public:
-  using CompletionFn = std::function<void(SimTime)>;
+  // Thread completions capture a few words (the index server's chunk
+  // continuation is [this, query id, chunk, miss flag]); 48 bytes holds every
+  // caller without a heap allocation per spawned thread.
+  using CompletionFn = InlineFunction<void(SimTime), 48>;
 
   SimMachine(Simulator* sim, const MachineSpec& spec, std::string name);
 
@@ -162,6 +165,10 @@ class SimMachine {
     int max_ready_burst_5us = 0;
     // Wake-to-dispatch delay of primary threads, in microseconds.
     LatencyRecorder primary_sched_delay_us;
+    // Order-sensitive hash of every dispatch (time, core, thread id): two
+    // runs agree on it only if they made the same scheduling decisions, so
+    // tests use it as a differential oracle for scheduler rewrites.
+    uint64_t dispatch_digest = 0;
 
     SimDuration TotalBusy() const { return busy_ns[0] + busy_ns[1] + busy_ns[2]; }
   };
@@ -183,7 +190,8 @@ class SimMachine {
   void SettleAccounting();
 
   // Verifies internal consistency (idle mask vs. core state, queue
-  // membership, job thread lists and running counts, accounting bounds).
+  // membership and its per-job counts and non-empty mask, job thread lists
+  // and running counts, accounting bounds).
   // O(threads + cores); intended for tests and debugging.
   Status CheckInvariants() const;
 
@@ -211,6 +219,7 @@ class SimMachine {
     SimDuration slice_overhead = 0;  // context-switch ns at the head of the slice
     SimDuration cpu_time = 0;
     uint64_t trace_ctx = 0;  // query trace this thread's scheduling reports to
+    int job_pos = -1;        // index in its job's `threads` list
   };
 
   struct Job {
@@ -223,6 +232,7 @@ class SimMachine {
     int64_t usage_interval = -1;  // interval index of `usage`
     SimDuration usage = 0;        // settled CPU consumed in `usage_interval`
     int running_count = 0;        // running threads (tracked for capped jobs)
+    int queued_count = 0;         // threads sitting in a core's ready queue
     // The single pending budget-exhaustion check for a capped job; an earlier
     // deadline tightens it in place instead of stacking a second event.
     // Lifecycle owned by SimMachine (CancelOwned on kill/uncap/throttle).
@@ -245,6 +255,13 @@ class SimMachine {
 
   int AllocThreadSlot();
   void MakeReady(int tid);
+  // The only ways into and out of a ready queue: they keep the per-job
+  // queued counts and the non-empty-queue mask that gate work stealing.
+  void Enqueue(int core, int tid);
+  std::deque<int>::iterator Dequeue(int core, std::deque<int>::iterator it);
+  // True when some queued thread may run on `core` (its job is neither
+  // throttled nor suspended and its affinity allows the core).
+  bool HasEligibleQueued(int core) const;
   void Dispatch(int core, int tid, bool context_switch);
   void OnSliceEnd(int core, int tid);
   void DispatchNext(int core);
@@ -282,6 +299,8 @@ class SimMachine {
   std::vector<int> free_threads_;
   std::vector<Job> jobs_;
   CpuSet idle_mask_;
+  CpuSet nonempty_queues_;     // cores whose ready queue holds a thread
+  int unmanaged_queued_ = 0;   // queued threads without a job
   Metrics metrics_;
   std::deque<SimTime> recent_ready_times_;  // for the 5 us burst metric
   int64_t used_memory_bytes_ = 0;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -31,25 +30,6 @@ constexpr unsigned char kSimSanPoisonByte = 0xA5;
 inline uint64_t MaskFrom(uint32_t b) { return b >= 64 ? 0 : ~0ull << b; }
 
 }  // namespace
-
-#ifdef PERFISO_SIMSAN
-void EventCallback::SimSanPoison() {
-  assert(invoke_ == nullptr);
-  std::memset(inline_buf_, kSimSanPoisonByte, kInlineBytes);
-}
-
-bool EventCallback::SimSanPoisonIntact() const {
-  if (invoke_ != nullptr || destroy_ != nullptr || heap_ != nullptr) {
-    return false;
-  }
-  for (unsigned char byte : inline_buf_) {
-    if (byte != kSimSanPoisonByte) {
-      return false;
-    }
-  }
-  return true;
-}
-#endif
 
 Simulator::Simulator() {
   std::fill(wheel_, wheel_ + kWheelTotalSlots, kNilId);
@@ -92,7 +72,7 @@ uint32_t Simulator::AllocSlot() {
       free_ids_.push_back(base + i - 1);
 #ifdef PERFISO_SIMSAN
       Event& fresh = Rec(base + i - 1);
-      fresh.cb.SimSanPoison();
+      fresh.cb.FillStorage(kSimSanPoisonByte);
       fresh.simsan_in_free_list = true;
 #endif
     }
@@ -101,7 +81,7 @@ uint32_t Simulator::AllocSlot() {
   free_ids_.pop_back();
 #ifdef PERFISO_SIMSAN
   Event& e = Rec(id);
-  if (!e.cb.SimSanPoisonIntact()) {
+  if (!e.cb.StorageFilledWith(kSimSanPoisonByte)) {
     EngineDie("use-after-recycle",
               "freed event record " + std::to_string(id) +
                   " was written while on the free list (stale reference scribble)");
@@ -117,7 +97,7 @@ void Simulator::FreeSlot(uint32_t id) {
   if (e.simsan_in_free_list) {
     EngineDie("double-free", "event slot " + std::to_string(id) + " freed twice");
   }
-  e.cb.SimSanPoison();
+  e.cb.FillStorage(kSimSanPoisonByte);
   e.simsan_in_free_list = true;
 #endif
   free_ids_.push_back(id);
@@ -428,7 +408,7 @@ void Simulator::Fire(uint32_t id, Event& e) {
 #ifdef PERFISO_SIMSAN
   simsan_in_callback_ = true;
 #endif
-  e.cb.Invoke();
+  e.cb();
 #ifdef PERFISO_SIMSAN
   simsan_in_callback_ = false;
 #endif
@@ -514,7 +494,7 @@ void Simulator::CheckEngineInvariants() const {
         if (e.prev != prev) {
           EngineDie("wheel-backlink", who + " back-link broken");
         }
-        if (!e.cb.armed()) {
+        if (!e.cb) {
           EngineDie("unarmed-pending-event", who + " is queued without a callback");
         }
         if (e.time < now_) {
@@ -554,7 +534,7 @@ void Simulator::CheckEngineInvariants() const {
       EngineDie("heap-key-mismatch",
                 "record " + std::to_string(item.id) + " (time, seq) disagrees with its heap item");
     }
-    if (!e.cb.armed()) {
+    if (!e.cb) {
       EngineDie("unarmed-pending-event",
                 "record " + std::to_string(item.id) + " is queued without a callback");
     }
@@ -582,7 +562,7 @@ void Simulator::CheckEngineInvariants() const {
       EngineDie("batch-time", "batch record " + std::to_string(item.id) + " at t=" +
                                   std::to_string(e.time) + " != Now()=" + std::to_string(now_));
     }
-    if (!e.cb.armed()) {
+    if (!e.cb) {
       EngineDie("unarmed-pending-event",
                 "batch record " + std::to_string(item.id) + " is queued without a callback");
     }
@@ -603,7 +583,7 @@ void Simulator::CheckEngineInvariants() const {
       EngineDie("free-list-flag", "slot " + std::to_string(id) +
                                       " is on the free list but not flagged as free");
     }
-    if (!e.cb.SimSanPoisonIntact()) {
+    if (!e.cb.StorageFilledWith(kSimSanPoisonByte)) {
       EngineDie("use-after-recycle", "freed event record " + std::to_string(id) +
                                          " was written while on the free list");
     }

@@ -10,8 +10,8 @@
 //   * Event records live in fixed-size slabs and are recycled through a free
 //     list, so the steady-state Schedule/fire path performs no heap
 //     allocation. Callbacks are stored with a small-buffer optimization
-//     inside the record; callables larger than EventCallback::kInlineBytes
-//     fall back to one counted heap allocation.
+//     inside the record (an InlineFunction); callables larger than
+//     EventCallback::kInlineBytes fall back to one counted heap allocation.
 //   * Every Schedule returns an EventHandle (slot id + generation). Handles
 //     make cancellation first-class: Cancel() removes the event from its band
 //     eagerly instead of letting it fire as a dead no-op, and Reschedule()
@@ -61,6 +61,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/inline_function.h"
 #include "src/util/sim_time.h"
 
 namespace perfiso {
@@ -96,70 +97,12 @@ class EventHandle {
   uint32_t gen_ = 0;
 };
 
-// Move-less callback slot embedded in each pooled event record. Callables up
-// to kInlineBytes are constructed in place; larger ones take a single heap
-// allocation, counted in Simulator::Stats so benches can verify the hot-path
-// layers stay inline.
-class EventCallback {
- public:
-  // Sized for the fattest hot-path capture, a disk completion: [this, a slot
-  // index, a byte count, and the request's moved std::function] (DiskDevice
-  // static_asserts that it fits). Index-server timers capture [this, a query
-  // id, a chunk index] and fit with room to spare.
-  static constexpr size_t kInlineBytes = 56;
-
-  EventCallback() = default;
-  ~EventCallback() { Reset(); }
-
-  EventCallback(const EventCallback&) = delete;
-  EventCallback& operator=(const EventCallback&) = delete;
-
-  template <typename Fn>
-  void Emplace(Fn&& fn, uint64_t* heap_allocs) {
-    using Decayed = std::decay_t<Fn>;
-    static_assert(std::is_invocable_r_v<void, Decayed&>,
-                  "event callbacks must be invocable with no arguments");
-    assert(invoke_ == nullptr);
-    if constexpr (sizeof(Decayed) <= kInlineBytes &&
-                  alignof(Decayed) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(inline_buf_)) Decayed(std::forward<Fn>(fn));
-      destroy_ = [](void* p) { static_cast<Decayed*>(p)->~Decayed(); };
-    } else {
-      heap_ = new Decayed(std::forward<Fn>(fn));
-      destroy_ = [](void* p) { delete static_cast<Decayed*>(p); };
-      ++*heap_allocs;
-    }
-    invoke_ = [](void* p) { (*static_cast<Decayed*>(p))(); };
-  }
-
-  void Invoke() { invoke_(target()); }
-
-  void Reset() {
-    if (invoke_ != nullptr) {
-      destroy_(target());
-      invoke_ = nullptr;
-      destroy_ = nullptr;
-      heap_ = nullptr;
-    }
-  }
-
-  bool armed() const { return invoke_ != nullptr; }
-
-#ifdef PERFISO_SIMSAN
-  // Freed records are filled with a poison pattern; a scribble through a
-  // stale reference (or an engine bug) is caught when the slot is reused.
-  void SimSanPoison();
-  bool SimSanPoisonIntact() const;
-#endif
-
- private:
-  void* target() { return heap_ != nullptr ? heap_ : static_cast<void*>(inline_buf_); }
-
-  alignas(std::max_align_t) unsigned char inline_buf_[kInlineBytes];
-  void* heap_ = nullptr;
-  void (*invoke_)(void*) = nullptr;
-  void (*destroy_)(void*) = nullptr;
-};
+// Callback slot embedded in each pooled event record. Callables up to
+// kInlineBytes are constructed in place; Simulator::Schedule boxes larger
+// ones on the heap, counted in Simulator::Stats so benches can verify the
+// hot-path layers stay inline. 56 bytes keeps every Schedule site in src/
+// inline (a few words plus, at most, one moved std::function).
+using EventCallback = InlineFunction<void(), 56>;
 
 class Simulator {
  public:
@@ -179,7 +122,7 @@ class Simulator {
     Event& e = Rec(id);
     e.time = ClampToNow(when);
     e.seq = next_seq_++;
-    e.cb.Emplace(std::forward<Fn>(fn), &stats_.callback_heap_allocs);
+    EmplaceCallback(e.cb, std::forward<Fn>(fn));
     Insert(id, e);
     ++pending_count_;
     ++stats_.events_scheduled;
@@ -298,6 +241,17 @@ class Simulator {
 #endif
 
  private:
+  template <typename Fn>
+  void EmplaceCallback(EventCallback& cb, Fn&& fn) {
+    using Decayed = std::decay_t<Fn>;
+    if constexpr (EventCallback::kFits<Decayed>) {
+      cb.Emplace(std::forward<Fn>(fn));
+    } else {
+      ++stats_.callback_heap_allocs;
+      cb.Emplace([boxed = std::make_unique<Decayed>(std::forward<Fn>(fn))] { (*boxed)(); });
+    }
+  }
+
   // 256 event records per slab. Slab storage is stable (records never move),
   // so callbacks may safely schedule/cancel while one of them runs.
   static constexpr uint32_t kSlabBits = 8;
@@ -556,7 +510,7 @@ class Simulator {
 // on its own task but must not destroy the task object from inside the tick.
 class PeriodicTask {
  public:
-  using TickFn = std::function<void(SimTime)>;
+  using TickFn = InlineFunction<void(SimTime), 32>;
 
   // Starts firing at `start` and then every `period`.
   PeriodicTask(Simulator* sim, SimTime start, SimDuration period, TickFn on_tick);

@@ -23,8 +23,9 @@ TEST(DiskDeviceTest, ServiceTimeComposition) {
   sequential_read.sequential = true;
   EXPECT_EQ(device.ServiceTime(sequential_read), FromMicros(100) + 65536);
 
-  IoRequest random_write = sequential_read;
+  IoRequest random_write;  // requests are move-only (they own a callback)
   random_write.op = IoOp::kWrite;
+  random_write.bytes = sequential_read.bytes;
   random_write.sequential = false;
   EXPECT_EQ(device.ServiceTime(random_write), FromMicros(50) + FromMillis(5) + 65536);
 }

@@ -25,7 +25,7 @@ struct Rig {
     scheduler = std::make_unique<IoScheduler>(&sim, volume.get(), max_outstanding);
   }
 
-  void Submit(int owner, int64_t bytes, std::function<void(SimTime)> cb = nullptr) {
+  void Submit(int owner, int64_t bytes, IoRequest::CompletionFn cb = nullptr) {
     IoRequest request;
     request.owner = owner;
     request.bytes = bytes;

@@ -235,6 +235,126 @@ TEST(SimMachineTest, WorkStealingWhenCoreIdles) {
   EXPECT_EQ(machine.metrics().steals, 1);
 }
 
+// --- Work-stealing gate ------------------------------------------------------
+//
+// An idle core steals only when some queued thread may run there; these pin
+// which thread it takes and when it must take none.
+
+TEST(SimMachineTest, PrimaryOnlyCoreIgnoresAffinityExcludedQueue) {
+  Simulator sim;
+  SimMachine machine(&sim, TinySpec(2, FromMillis(50)), "m0");
+  const JobId secondary = machine.CreateJob("sec");
+  ASSERT_TRUE(machine.SetJobAffinity(secondary, CpuSet::Single(1)).ok());
+  machine.SpawnLoopThread(TenantClass::kSecondary, secondary);  // runs on core 1
+  machine.SpawnLoopThread(TenantClass::kSecondary, secondary);  // queues on core 1
+  SimTime primary_done = -1;
+  machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1),
+                      [&](SimTime now) { primary_done = now; });  // core 0
+  sim.RunUntil(FromMillis(10));
+  EXPECT_EQ(primary_done, FromMillis(1));
+  // Core 0 went idle at t=1 ms with a secondary thread queued that may not
+  // run there: it stays idle, and the queued thread keeps waiting on core 1.
+  EXPECT_TRUE(machine.IdleMask().Test(0));
+  EXPECT_EQ(machine.metrics().steals, 0);
+  EXPECT_EQ(*machine.JobCpuTime(secondary), FromMillis(10));
+  EXPECT_TRUE(machine.CheckInvariants().ok());
+}
+
+TEST(SimMachineTest, StealTakesOldestEligibleThread) {
+  Simulator sim;
+  SimMachine machine(&sim, TinySpec(3, FromMillis(50)), "m0");
+  machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
+  machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
+  const ThreadId hog2 = machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
+  const JobId upper = machine.CreateJob("upper");
+  ASSERT_TRUE(machine.SetJobAffinity(upper, CpuSet::Range(1, 3)).ok());
+  std::vector<char> order;
+  sim.Schedule(FromMillis(1), [&] {  // the older waiter, queued on core 1
+    machine.SpawnThread(TenantClass::kPrimary, upper, FromMillis(1),
+                        [&](SimTime) { order.push_back('a'); });
+  });
+  sim.Schedule(FromMillis(2), [&] {  // the newer waiter, queued on core 0
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1),
+                        [&](SimTime) { order.push_back('b'); });
+  });
+  sim.Schedule(FromMillis(3), [&] { ASSERT_TRUE(machine.KillThread(hog2).ok()); });
+  sim.RunUntil(FromMillis(10));
+  // Core 2 steals the oldest waiter although it sits on a higher core, then
+  // the other one when the first completes.
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b'}));
+  EXPECT_EQ(machine.metrics().steals, 2);
+  EXPECT_TRUE(machine.CheckInvariants().ok());
+}
+
+TEST(SimMachineTest, StealTieGoesToLowestCore) {
+  Simulator sim;
+  SimMachine machine(&sim, TinySpec(3, FromMillis(50)), "m0");
+  machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
+  machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
+  const ThreadId hog2 = machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
+  const JobId upper = machine.CreateJob("upper");
+  ASSERT_TRUE(machine.SetJobAffinity(upper, CpuSet::Range(1, 3)).ok());
+  std::vector<char> order;
+  sim.Schedule(FromMillis(1), [&] {
+    // Same instant: the first queues on core 1 (its mask), the second on
+    // core 0, so queue order and core order disagree.
+    machine.SpawnThread(TenantClass::kPrimary, upper, FromMillis(1),
+                        [&](SimTime) { order.push_back('1'); });
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1),
+                        [&](SimTime) { order.push_back('0'); });
+  });
+  sim.Schedule(FromMillis(3), [&] { ASSERT_TRUE(machine.KillThread(hog2).ok()); });
+  sim.RunUntil(FromMillis(10));
+  EXPECT_EQ(order, (std::vector<char>{'0', '1'}));  // equal ages: core 0's wins
+  EXPECT_EQ(machine.metrics().steals, 2);
+}
+
+TEST(SimMachineTest, SuspendedJobThreadsAreNeverStolen) {
+  Simulator sim;
+  SimMachine machine(&sim, TinySpec(2, FromMillis(50)), "m0");
+  machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
+  const ThreadId hog1 = machine.SpawnLoopThread(TenantClass::kSecondary, JobId{});
+  const JobId job = machine.CreateJob("sec");
+  SimTime done_at = -1;
+  machine.SpawnThread(TenantClass::kSecondary, job, FromMillis(1),
+                      [&](SimTime now) { done_at = now; });  // queues on core 0
+  ASSERT_TRUE(machine.SetJobSuspended(job, true).ok());
+  sim.Schedule(FromMillis(1), [&] { ASSERT_TRUE(machine.KillThread(hog1).ok()); });
+  sim.RunUntil(FromMillis(5));
+  EXPECT_TRUE(machine.IdleMask().Test(1));
+  EXPECT_EQ(machine.metrics().steals, 0);
+  EXPECT_EQ(done_at, -1);
+  EXPECT_TRUE(machine.CheckInvariants().ok());
+  // Resuming places it on the idle core (a placement, not a steal).
+  ASSERT_TRUE(machine.SetJobSuspended(job, false).ok());
+  sim.RunUntil(FromMillis(10));
+  EXPECT_EQ(done_at, FromMillis(6));
+  EXPECT_EQ(machine.metrics().steals, 0);
+}
+
+TEST(SimMachineTest, ThrottledJobThreadsAreNeverStolen) {
+  Simulator sim;
+  SimMachine machine(&sim, TinySpec(2, FromMillis(50)), "m0");  // 20 ms interval
+  const JobId job = machine.CreateJob("sec");
+  ASSERT_TRUE(machine.SetJobCpuRateCap(job, 0.05).ok());  // 2 ms per interval
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
+  machine.SpawnLoopThread(TenantClass::kSecondary, job);
+  SimTime primary_done = -1;
+  sim.Schedule(FromMillis(5), [&] {
+    machine.SpawnThread(TenantClass::kPrimary, JobId{}, FromMillis(1),
+                        [&](SimTime now) { primary_done = now; });
+  });
+  sim.RunUntil(FromMillis(10));
+  // Both hogs burned the budget by t=1 ms and wait, throttled, in the
+  // queues. The primary burst ran on an idle core; when it finished, that
+  // core stole nothing and went idle again.
+  EXPECT_EQ(primary_done, FromMillis(6));
+  EXPECT_EQ(machine.IdleCount(), 2);
+  EXPECT_EQ(machine.metrics().steals, 0);
+  EXPECT_EQ(*machine.JobCpuTime(job), FromMillis(2));
+  EXPECT_TRUE(machine.CheckInvariants().ok());
+}
+
 TEST(SimMachineTest, KillJobTerminatesAllThreads) {
   Simulator sim;
   SimMachine machine(&sim, TinySpec(4), "m0");

@@ -55,6 +55,23 @@ TEST(CpuSetTest, NextAfterSkipsGaps) {
   EXPECT_EQ(s.NextAfter(130), -1);
 }
 
+TEST(CpuSetTest, NextAfterAtWordBoundaries) {
+  CpuSet s;
+  s.Set(0);
+  s.Set(64);
+  s.Set(128);
+  s.Set(255);
+  EXPECT_EQ(s.NextAfter(-1), 0);  // bit 0 set: NextAfter(-1) is Lowest()
+  EXPECT_EQ(s.Lowest(), 0);
+  EXPECT_EQ(s.NextAfter(63), 64);
+  EXPECT_EQ(s.NextAfter(127), 128);
+  EXPECT_EQ(s.NextAfter(128), 255);
+  EXPECT_EQ(s.NextAfter(255), -1);  // last CPU: nothing after it
+  EXPECT_EQ(CpuSet::Single(63).NextAfter(62), 63);
+  EXPECT_EQ(CpuSet::Single(63).NextAfter(63), -1);
+  EXPECT_EQ(CpuSet().NextAfter(-1), -1);
+}
+
 TEST(CpuSetTest, SetOperations) {
   const CpuSet a = CpuSet::FirstN(10);
   const CpuSet b = CpuSet::Range(5, 15);
