@@ -701,21 +701,16 @@ ClusterRunResult RunClusterScenario(const ScenarioSpec& input) {
   const ClusterOptions options = MakeClusterOptions(scenario);
 
   // Decide the execution mode. The partitioned engine does not support fault
-  // injection (crash routing mutates shared state mid-run) or tracing (one
-  // tracer, one clock) — those run sequentially, with a warning so a
-  // benchmark invocation can't silently measure the wrong engine.
+  // injection (crash routing mutates shared state mid-run), so those run
+  // sequentially, with a warning so a benchmark invocation can't silently
+  // measure the wrong engine. (Validate rejects obs on cluster specs.)
   int partitions = scenario.sim_partitions;
-  const char* fallback_reason = nullptr;
-  if (partitions >= 2) {
-    if (scenario.fault.enabled) {
-      fallback_reason = "fault injection is sequential-only";
-    } else if (scenario.obs.enabled) {
-      fallback_reason = "tracing/observability is sequential-only";
-    }
-  }
-  if (fallback_reason != nullptr) {
-    std::fprintf(stderr, "scenario %s: %s; falling back to a sequential run\n",
-                 scenario.name.c_str(), fallback_reason);
+  const bool fell_back = partitions >= 2 && scenario.fault.enabled;
+  if (fell_back) {
+    std::fprintf(stderr,
+                 "scenario %s: fault injection is sequential-only; falling back to a "
+                 "sequential run\n",
+                 scenario.name.c_str());
     partitions = 0;
   }
   // More partitions than rows+1 would leave simulators idle; clamp.
@@ -793,7 +788,7 @@ ClusterRunResult RunClusterScenario(const ScenarioSpec& input) {
   result.events_executed = psim.TotalEventsExecuted();
   result.partitions_used = parallel ? partitions : 1;
   result.threads_used = parallel ? psim.num_threads() : 1;
-  result.fell_back_sequential = fallback_reason != nullptr;
+  result.fell_back_sequential = fell_back;
   return result;
 }
 

@@ -160,9 +160,10 @@ void ApplyScenarioTenants(Cluster* cluster, const ScenarioSpec& scenario);
 // the PDES lookahead, which the Fabric constructor requires to be positive.
 // Results are a pure function of (spec, partition count): bit-identical
 // digests at any worker thread count (pinned by
-// tests/cluster_partition_determinism_test.cc). Specs that need features the
-// partitioned engine does not support — fault injection or tracing/obs —
-// fall back to a sequential run with a warning (fell_back_sequential below).
+// tests/cluster_partition_determinism_test.cc). Specs with fault injection,
+// which the partitioned engine does not support, fall back to a sequential
+// run with a warning (fell_back_sequential below). Cluster specs cannot
+// enable obs: ScenarioSpec::Validate rejects it.
 
 // Worker threads for partitioned runs: PERFISO_SIM_THREADS when set
 // (1 = single-threaded lockstep), otherwise the hardware concurrency. Read

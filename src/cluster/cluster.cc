@@ -6,6 +6,9 @@
 
 namespace perfiso {
 
+// One query from TLA submit to TLA reply. Shared, not singly owned: every
+// leaf of the row holds it while its request, service, response and merge
+// are in flight, and the last of them to finish frees it.
 struct Cluster::PendingQuery {
   QueryWork work;
   IndexServer::QueryDoneFn done;
@@ -132,13 +135,8 @@ void Cluster::RunMla(const std::shared_ptr<PendingQuery>& pending, SimTime now) 
   pending->mla_arrival = now;
   const int cols = options_.topology.columns;
   pending->leaves_left = cols;
-  IndexNodeRig& mla = *index_nodes_[static_cast<size_t>(pending->mla_node)];
-
   for (int col = 0; col < cols; ++col) {
     const int leaf_index = pending->row * cols + col;
-    IndexNodeRig& leaf = *index_nodes_[static_cast<size_t>(leaf_index)];
-    const bool local = leaf_index == pending->mla_node;
-
     if (crashed_[static_cast<size_t>(leaf_index)]) {
       // Health checks: no request is sent to a known-dead leaf — no events
       // are delivered to crashed machines. It counts as failed coverage
@@ -149,50 +147,48 @@ void Cluster::RunMla(const std::shared_ptr<PendingQuery>& pending, SimTime now) 
       }
       continue;
     }
-
-    auto run_leaf = [this, pending, &leaf, &mla, leaf_index, local] {
-      leaf.server().SubmitQuery(pending->work, [this, pending, &mla, leaf_index,
-                                                local](const QueryResult& leaf_result) {
-        // A dropped leaf (timeout, admission, or a crash that raced the
-        // request) answered nothing: failed coverage. The (error) response
-        // still travels back and merges, keeping the event sequence of
-        // no-fault runs untouched.
-        if (leaf_result.dropped) {
-          ++pending->leaves_failed;
-        }
-        auto merge = [this, pending, &mla](SimTime) {
-          // Merge work on the MLA machine for this leaf response.
-          mla.machine().SpawnThread(
-              TenantClass::kPrimary, mla.server().job(),
-              FromMicros(options_.mla_merge_cpu_us),
-              [this, pending](SimTime) {
-                if (--pending->leaves_left == 0) {
-                  FinalizeMla(pending);
-                }
-              },
-              pending->work.trace_ctx);
-        };
-        if (local) {
-          // merge() ignores its timestamp; the leaf's own finish time is the
-          // correct clock here either way (sim_ would be partition 0's).
-          merge(leaf_result.finish_time);
-        } else {
-          // Leaf response travels back over the fabric (MLA fan-in: all
-          // columns' responses converge on the MLA's RX link — incast).
-          fabric_->Send(index_endpoint(leaf_index), index_endpoint(pending->mla_node),
-                        options_.fabric.leaf_response_bytes, NetClass::kPrimary,
-                        std::move(merge), pending->work.trace_ctx);
-        }
-      });
-    };
-    if (local) {
-      run_leaf();
+    if (leaf_index == pending->mla_node) {
+      RunLeaf(pending, leaf_index);
     } else {
       fabric_->Send(index_endpoint(pending->mla_node), index_endpoint(leaf_index),
                     options_.fabric.request_bytes, NetClass::kPrimary,
-                    [run_leaf](SimTime) { run_leaf(); }, pending->work.trace_ctx);
+                    [this, pending, leaf_index](SimTime) { RunLeaf(pending, leaf_index); },
+                    pending->work.trace_ctx);
     }
   }
+}
+
+void Cluster::RunLeaf(const std::shared_ptr<PendingQuery>& pending, int leaf_index) {
+  IndexServer& server = index_nodes_[static_cast<size_t>(leaf_index)]->server();
+  server.SubmitQuery(pending->work, [this, pending, leaf_index](const QueryResult& leaf_result) {
+    // A dropped leaf (timeout, admission, or a crash that raced the request)
+    // answered nothing: failed coverage. The (error) response still travels
+    // back and merges, keeping the event sequence of no-fault runs untouched.
+    if (leaf_result.dropped) {
+      ++pending->leaves_failed;
+    }
+    if (leaf_index == pending->mla_node) {
+      MergeAtMla(pending);
+      return;
+    }
+    // Leaf response travels back over the fabric (MLA fan-in: all columns'
+    // responses converge on the MLA's RX link — incast).
+    fabric_->Send(index_endpoint(leaf_index), index_endpoint(pending->mla_node),
+                  options_.fabric.leaf_response_bytes, NetClass::kPrimary,
+                  [this, pending](SimTime) { MergeAtMla(pending); }, pending->work.trace_ctx);
+  });
+}
+
+void Cluster::MergeAtMla(const std::shared_ptr<PendingQuery>& pending) {
+  IndexNodeRig& mla = *index_nodes_[static_cast<size_t>(pending->mla_node)];
+  mla.machine().SpawnThread(
+      TenantClass::kPrimary, mla.server().job(), FromMicros(options_.mla_merge_cpu_us),
+      [this, pending](SimTime) {
+        if (--pending->leaves_left == 0) {
+          FinalizeMla(pending);
+        }
+      },
+      pending->work.trace_ctx);
 }
 
 void Cluster::FinalizeMla(const std::shared_ptr<PendingQuery>& pending) {
@@ -267,12 +263,6 @@ void Cluster::FailAtTla(const std::shared_ptr<PendingQuery>& pending, SimTime no
     result.dropped = true;
     result.chunks_total = options_.topology.columns;
     pending->done(result);
-  }
-}
-
-void Cluster::ForEachIndexNode(const std::function<void(IndexNodeRig&)>& fn) {
-  for (auto& node : index_nodes_) {
-    fn(*node);
   }
 }
 

@@ -19,7 +19,6 @@
 #ifndef PERFISO_SRC_CLUSTER_CLUSTER_H_
 #define PERFISO_SRC_CLUSTER_CLUSTER_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -69,7 +68,12 @@ class Cluster {
   void SubmitQuery(const QueryWork& work, IndexServer::QueryDoneFn done = nullptr);
 
   // Runs `fn` on every index node (e.g. to start bullies or PerfIso).
-  void ForEachIndexNode(const std::function<void(IndexNodeRig&)>& fn);
+  template <typename Fn>
+  void ForEachIndexNode(Fn&& fn) {
+    for (auto& node : index_nodes_) {
+      fn(*node);
+    }
+  }
 
   // Enables tracing everywhere: fabric tracks, every index node (machine,
   // server, volumes, schedulers), every TLA machine. Queries submitted
@@ -146,6 +150,10 @@ class Cluster {
   // `now` is the MLA-side arrival time from the fabric delivery callback
   // (sim_->Now() would read the wrong partition's clock here).
   void RunMla(const std::shared_ptr<PendingQuery>& pending, SimTime now);
+  // Serves the request at the leaf and returns the response to the MLA.
+  void RunLeaf(const std::shared_ptr<PendingQuery>& pending, int leaf_index);
+  // Merges one leaf response on the MLA machine.
+  void MergeAtMla(const std::shared_ptr<PendingQuery>& pending);
   // All leaf slots accounted for: finalize on the MLA and reply to the TLA,
   // completing (possibly degraded) or failing on leaf coverage.
   void FinalizeMla(const std::shared_ptr<PendingQuery>& pending);

@@ -1,5 +1,6 @@
 #include "src/disk/io_scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <utility>

@@ -75,7 +75,6 @@ IndexServer::QueryDoneFn IndexServer::Release(QueryState& q) {
   q.CancelTimers(machine_->sim());
   --inflight_;
   QueryDoneFn done = std::move(q.done);
-  q.done = nullptr;
   q.live = false;
   ++q.id.generation;
   free_slots_.push_back(q.id.slot);

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,7 @@
 #include "src/fault/retry.h"
 #include "src/sim/machine.h"
 #include "src/sim/simulator.h"
+#include "src/util/inline_function.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/workload/query_trace.h"
@@ -128,7 +128,7 @@ struct QueryResult {
 
 class IndexServer {
  public:
-  using QueryDoneFn = std::function<void(const QueryResult&)>;
+  using QueryDoneFn = InlineFunction<void(const QueryResult&), 48>;
 
   // `ssd` may not be null (index reads). `hdd` may be null, disabling the
   // logging path (useful for CPU-only experiments and unit tests).

@@ -64,7 +64,8 @@ int Fabric::AttachMachine(const std::string& name, int partition) {
   ep->name = name;
   ep->partition = partition;
   ep->sim = sim;
-  ep->dev = std::make_unique<NetDev>(sim, config_.link_rate_bps, config_.chunk_bytes, name);
+  ep->dev = std::make_unique<NetDev>(sim, config_.link_rate_bps, config_.chunk_bytes,
+                                     LinkSink(), LinkSink());
   if (static_cast<size_t>(partition) >= open_rack_.size()) {
     open_rack_.resize(static_cast<size_t>(partition) + 1, -1);
   }
@@ -74,13 +75,12 @@ int Fabric::AttachMachine(const std::string& name, int partition) {
     const double uplink_rate = config_.link_rate_bps *
                                static_cast<double>(config_.machines_per_rack) /
                                config_.uplink_oversubscription;
-    const std::string prefix = "rack" + std::to_string(rack);
     auto r = std::make_unique<Rack>();
     r->partition = partition;
     r->up = std::make_unique<Link>(sim, uplink_rate, config_.chunk_bytes,
-                                   Link::Discipline::kFifo, prefix + "-up");
+                                   Link::Discipline::kFifo, LinkSink());
     r->down = std::make_unique<Link>(sim, uplink_rate, config_.chunk_bytes,
-                                     Link::Discipline::kFifo, prefix + "-down");
+                                     Link::Discipline::kFifo, LinkSink());
     racks_.push_back(std::move(r));
     open_rack_[static_cast<size_t>(partition)] = rack;
   }
@@ -91,7 +91,8 @@ int Fabric::AttachMachine(const std::string& name, int partition) {
 }
 
 void Fabric::SetEgressBucketProvider(int endpoint, Link::EgressBucketFn provider) {
-  endpoints_[static_cast<size_t>(endpoint)]->dev->SetEgressBucketProvider(std::move(provider));
+  endpoints_[static_cast<size_t>(endpoint)]->dev->tx().SetEgressBucketProvider(
+      std::move(provider));
 }
 
 void Fabric::Send(int src, int dst, int64_t bytes, NetClass net_class,
@@ -99,7 +100,7 @@ void Fabric::Send(int src, int dst, int64_t bytes, NetClass net_class,
   assert(src >= 0 && src < num_endpoints());
   assert(dst >= 0 && dst < num_endpoints());
   Endpoint& src_ep = *endpoints_[static_cast<size_t>(src)];
-  auto flow = std::make_shared<Flow>();
+  auto flow = std::make_unique<Flow>();
   // Flow ids are minted per source endpoint (source id in the high bits) so
   // they are deterministic under partition-parallel execution: each source's
   // sequence depends only on that source's own send order.
@@ -119,116 +120,104 @@ void Fabric::Send(int src, int dst, int64_t bytes, NetClass net_class,
 
   if (src == dst) {
     // Loopback: never leaves the machine, no serialization or propagation.
-    src_ep.sim->ScheduleAfter(0, [this, flow, sim = src_ep.sim] { Deliver(flow, sim->Now()); });
+    flow->hop = FlowHop::kDeliver;
+    src_ep.sim->ScheduleAfter(0, Resume(std::move(flow)));
     return;
   }
-  RunHop(flow, 0);
+  Advance(std::move(flow), src_ep.sim->Now());
 }
 
-void Fabric::RunHop(const std::shared_ptr<Flow>& flow, int hop) {
+Link::FlowSink Fabric::LinkSink() {
+  return [this](std::unique_ptr<Flow> flow, SimTime now) {
+    if (tracer_ != nullptr && flow->trace_ctx != 0 && now > flow->hop_enter) {
+      EmitHopSpan(*flow, now);
+    }
+    flow->hop = static_cast<FlowHop>(static_cast<int>(flow->hop) + 1);
+    Advance(std::move(flow), now);
+  };
+}
+
+EventCallback Fabric::Resume(std::unique_ptr<Flow> flow) {
+  return [this, flow = std::move(flow)]() mutable {
+    const SimTime now = endpoints_[static_cast<size_t>(flow->dst)]->sim->Now();
+    Advance(std::move(flow), now);
+  };
+}
+
+void Fabric::Advance(std::unique_ptr<Flow> flow, SimTime now) {
   const Endpoint& src = *endpoints_[static_cast<size_t>(flow->src)];
   const Endpoint& dst = *endpoints_[static_cast<size_t>(flow->dst)];
-  const bool cross_rack = src.rack != dst.rack;
   // Source-side hops (TX, uplink) run on src's partition; destination-side
-  // hops (downlink, RX) on dst's. In sequential mode these are one simulator.
-  Simulator* sim = hop <= 1 ? src.sim : dst.sim;
-
-  // Path: [0] src TX, then (cross-rack only) [1] src rack uplink and [2] dst
-  // rack downlink, then propagation, then [3] dst RX, then delivery. For a
-  // cross-partition flow the propagation delay is paid on the mailbox hop
-  // between [1] and [2] instead (it IS the lookahead), flagged by
-  // flow->propagation_paid.
+  // steps (downlink onwards) on dst's. In sequential mode these are one
+  // simulator.
   Link* link = nullptr;
-  switch (hop) {
-    case 0:
+  switch (flow->hop) {
+    case FlowHop::kTx:
       link = &src.dev->tx();
       break;
-    case 1:
-      if (!cross_rack) {
-        // Intra-rack: the ToR forwards at line rate; skip to propagation.
-        // Racks never span partitions, so this stays on one simulator.
-        sim->ScheduleAfter(config_.base_latency, [this, flow] { RunHop(flow, 3); });
+    case FlowHop::kUplink:
+      if (src.rack != dst.rack) {
+        link = racks_[static_cast<size_t>(src.rack)]->up.get();
+        break;
+      }
+      // Intra-rack: the ToR forwards at line rate; skip to propagation.
+      // Racks never span partitions, so this stays on one simulator.
+      flow->hop = FlowHop::kPropagate;
+      [[fallthrough]];
+    case FlowHop::kPropagate:
+      // Last switch hop done: pay propagation, then serialize into the
+      // destination NIC (the incast point).
+      flow->hop = FlowHop::kRx;
+      if (!flow->propagation_paid) {
+        dst.sim->ScheduleAfter(config_.base_latency, Resume(std::move(flow)));
         return;
       }
-      link = racks_[static_cast<size_t>(src.rack)]->up.get();
-      break;
-    case 2:
-      link = racks_[static_cast<size_t>(dst.rack)]->down.get();
-      break;
-    case 3:
-      if (tracer_ != nullptr && flow->trace_ctx != 0 && config_.base_latency > 0 &&
-          !flow->propagation_paid) {
-        // RunHop(3) fires exactly base_latency after the last switch hop.
+      [[fallthrough]];
+    case FlowHop::kRx:
+      if (tracer_ != nullptr && flow->trace_ctx != 0 && !flow->propagation_paid) {
+        // Propagation ended just now, base_latency after the last switch hop.
         tracer_->Span(flow->trace_ctx, "net.propagate", SpanCategory::kNetTransit,
-                      dst.rx_track, sim->Now() - config_.base_latency, sim->Now());
+                      dst.rx_track, now - config_.base_latency, now);
       }
       link = &dst.dev->rx();
       break;
-    default:
-      assert(false);
-      return;
-  }
-  flow->hop_enter = sim->Now();
-  const int next = hop + 1;
-  link->Enqueue(flow.get(), [this, flow, hop, next](Flow*, SimTime now) {
-    if (tracer_ != nullptr && flow->trace_ctx != 0 && now > flow->hop_enter) {
-      EmitHopSpan(*flow, hop, now);
-    }
-    switch (next) {
-      case 1:
-        RunHop(flow, next);
-        return;
-      case 2: {
-        const int src_part = endpoints_[static_cast<size_t>(flow->src)]->partition;
-        const int dst_part = endpoints_[static_cast<size_t>(flow->dst)]->partition;
-        if (src_part == dst_part) {
-          RunHop(flow, next);
-          return;
-        }
+    case FlowHop::kDownlink:
+      if (src.partition != dst.partition && !flow->propagation_paid) {
         // Cross-partition handoff: the propagation delay is exactly the
         // conservative lookahead, so `now + base_latency` always lands at or
         // beyond the current window's end — the Post is legal by
         // construction. Propagation is paid here, not after the downlink.
-        psim_->Post(dst_part, now + config_.base_latency, [this, flow] {
-          flow->propagation_paid = true;
-          RunHop(flow, 2);
-        });
+        flow->propagation_paid = true;
+        psim_->Post(dst.partition, now + config_.base_latency, Resume(std::move(flow)));
         return;
       }
-      case 3:
-        if (flow->propagation_paid) {
-          RunHop(flow, 3);
-          return;
-        }
-        // Last switch hop done: pay propagation, then serialize into the
-        // destination NIC (the incast point).
-        endpoints_[static_cast<size_t>(flow->dst)]->sim->ScheduleAfter(
-            config_.base_latency, [this, flow] { RunHop(flow, 3); });
-        return;
-      default:
-        Deliver(flow, now);
-        return;
-    }
-  });
+      link = racks_[static_cast<size_t>(dst.rack)]->down.get();
+      break;
+    case FlowHop::kDeliver:
+      Deliver(std::move(flow), now);
+      return;
+  }
+  flow->hop_enter = now;
+  link->Enqueue(std::move(flow));
 }
 
-void Fabric::EmitHopSpan(const Flow& flow, int hop, SimTime now) {
+void Fabric::EmitHopSpan(const Flow& flow, SimTime now) {
   const Endpoint& src = *endpoints_[static_cast<size_t>(flow.src)];
   const Endpoint& dst = *endpoints_[static_cast<size_t>(flow.dst)];
-  switch (hop) {
-    case 0:
+  switch (flow.hop) {
+    case FlowHop::kTx:
       tracer_->Span(flow.trace_ctx, "net.tx", SpanCategory::kSerialization,
                     src.tx_track, flow.hop_enter, now);
       break;
-    case 1:
+    case FlowHop::kUplink:
       tracer_->Span(flow.trace_ctx, "net.uplink", SpanCategory::kNetTransit,
                     racks_[static_cast<size_t>(src.rack)]->up_track, flow.hop_enter, now);
       break;
-    case 2:
+    case FlowHop::kDownlink:
       tracer_->Span(flow.trace_ctx, "net.downlink", SpanCategory::kNetTransit,
                     racks_[static_cast<size_t>(dst.rack)]->down_track, flow.hop_enter, now);
       break;
-    case 3:
+    case FlowHop::kRx:
       tracer_->Span(flow.trace_ctx, "net.rx", SpanCategory::kSerialization,
                     dst.rx_track, flow.hop_enter, now);
       break;
@@ -254,7 +243,7 @@ void Fabric::EnableTracing(Tracer* tracer) {
   }
 }
 
-void Fabric::Deliver(const std::shared_ptr<Flow>& flow, SimTime now) {
+void Fabric::Deliver(std::unique_ptr<Flow> flow, SimTime now) {
   Endpoint& dst_ep = *endpoints_[static_cast<size_t>(flow->dst)];
   const auto cls = static_cast<size_t>(flow->net_class);
   ++dst_ep.stats.flows_delivered[cls];
@@ -262,10 +251,7 @@ void Fabric::Deliver(const std::shared_ptr<Flow>& flow, SimTime now) {
   dst_ep.flow_latency_ms[cls].Add(ToMillis(now - flow->submit_time));
   ++dst_ep.lifetime_flows_delivered;
   if (flow->on_delivered) {
-    // Move the callback out so its captures die with this scope, not with
-    // the last shared_ptr reference to the flow.
-    Flow::DeliveredFn done = std::move(flow->on_delivered);
-    done(now);
+    flow->on_delivered(now);
   }
 }
 

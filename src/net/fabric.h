@@ -8,7 +8,7 @@
 // queues + egress shaping), crosses the rack uplinks when A and B sit in
 // different racks, pays the propagation delay, serializes again at B's NIC RX
 // (FIFO — this is where MLA fan-in becomes genuine incast), and then fires
-// its completion callback. Replaces the old closed-form
+// its delivery callback. Replaces the old closed-form
 // `base_latency + bytes/bandwidth` NetworkSpec term in src/cluster/.
 //
 // Partitioned mode: constructed over a ParallelSimulation, each endpoint (and
@@ -84,7 +84,7 @@ class Fabric {
   // arrives. src == dst delivers immediately (loopback skips the NIC).
   // `trace_ctx` ties the flow to a query trace (0 = untraced). In partitioned
   // mode this must be called from src's partition (or during setup); `done`
-  // fires on dst's partition.
+  // fires on dst's partition; a flow still in flight at teardown dies unrun.
   void Send(int src, int dst, int64_t bytes, NetClass net_class, Flow::DeliveredFn done,
             uint64_t trace_ctx = 0);
 
@@ -95,7 +95,6 @@ class Fabric {
 
   int num_endpoints() const { return static_cast<int>(endpoints_.size()); }
   int num_racks() const { return static_cast<int>(racks_.size()); }
-  const FabricConfig& config() const { return config_; }
   NetDev& netdev(int endpoint) { return *endpoints_[static_cast<size_t>(endpoint)]->dev; }
   Link& rack_uplink(int rack) { return *racks_[static_cast<size_t>(rack)]->up; }
   Link& rack_downlink(int rack) { return *racks_[static_cast<size_t>(rack)]->down; }
@@ -149,12 +148,18 @@ class Fabric {
   };
 
   Simulator* SimFor(int partition);
-  // Advances `flow` to hop `hop` of its path (0 = src TX, then uplinks, then
-  // propagation + dst RX); delivers and reclaims the flow after the last hop.
-  void RunHop(const std::shared_ptr<Flow>& flow, int hop);
-  // Reports the hop the flow just finished as a span on that hop's track.
-  void EmitHopSpan(const Flow& flow, int hop, SimTime now);
-  void Deliver(const std::shared_ptr<Flow>& flow, SimTime now);
+  // Every link's completion sink: traces the finished link, then advances.
+  Link::FlowSink LinkSink();
+  // Runs the step at `flow->hop`: queues the flow on that hop's link, hands
+  // it to the event or cross-partition message that resumes it, or delivers
+  // it. `now` is the clock of the partition the step runs on.
+  void Advance(std::unique_ptr<Flow> flow, SimTime now);
+  // An event resuming `flow` at `flow->hop` on dst's partition, where every
+  // scheduled or posted step of a flow lands.
+  EventCallback Resume(std::unique_ptr<Flow> flow);
+  // Reports the link at `flow.hop` as a span on that link's track.
+  void EmitHopSpan(const Flow& flow, SimTime now);
+  void Deliver(std::unique_ptr<Flow> flow, SimTime now);
 
   Simulator* sim_;                     // partition 0's simulator
   ParallelSimulation* psim_ = nullptr; // null in sequential mode

@@ -5,28 +5,19 @@
 
 namespace perfiso {
 
-const char* NetClassName(NetClass net_class) {
-  switch (net_class) {
-    case NetClass::kPrimary:
-      return "primary";
-    case NetClass::kSecondary:
-      return "secondary";
-  }
-  return "?";
-}
-
 Link::Link(Simulator* sim, double rate_bps, int64_t chunk_bytes, Discipline discipline,
-           std::string name)
+           FlowSink sink)
     : sim_(sim),
       rate_bps_(rate_bps),
       chunk_bytes_(chunk_bytes),
       discipline_(discipline),
-      name_(std::move(name)) {
+      sink_(std::move(sink)) {
   assert(rate_bps_ > 0);
   assert(chunk_bytes_ > 0);
+  assert(sink_);
 }
 
-void Link::Enqueue(Flow* flow, FlowDoneFn done) {
+void Link::Enqueue(std::unique_ptr<Flow> flow) {
   assert(flow != nullptr);
   assert(flow->bytes > 0);
   flow->remaining_on_link = flow->bytes;
@@ -34,7 +25,7 @@ void Link::Enqueue(Flow* flow, FlowDoneFn done) {
   queued_bytes_ += flow->bytes;
   stats_.max_queued_bytes = std::max(stats_.max_queued_bytes, queued_bytes_);
   const auto qi = static_cast<size_t>(flow->net_class);
-  queues_[qi].push_back(Entry{flow, std::move(done)});
+  queues_[qi].push_back(std::move(flow));
   Pump();
 }
 
@@ -47,7 +38,7 @@ int Link::PickQueue() const {
   if (p && s && discipline_ == Discipline::kFifo) {
     // Arrival order across classes; a partially-serialized flow keeps its
     // original seq and therefore stays in front.
-    return queues_[0].front().flow->arrival_seq < queues_[1].front().flow->arrival_seq ? 0 : 1;
+    return queues_[0].front()->arrival_seq < queues_[1].front()->arrival_seq ? 0 : 1;
   }
   return p ? 0 : 1;  // strict priority (or only one queue occupied)
 }
@@ -60,7 +51,7 @@ void Link::Pump() {
   if (queue < 0) {
     return;
   }
-  Flow* flow = queues_[static_cast<size_t>(queue)].front().flow;
+  const Flow* flow = queues_[static_cast<size_t>(queue)].front().get();
   int64_t chunk = std::min(chunk_bytes_, flow->remaining_on_link);
   const SimTime now = sim_->Now();
   // TX links shape secondary chunks through the machine's egress bucket.
@@ -98,8 +89,7 @@ void Link::Pump() {
 void Link::OnChunkDone(int queue, int64_t chunk) {
   busy_ = false;
   auto& q = queues_[static_cast<size_t>(queue)];
-  Entry& entry = q.front();
-  Flow* flow = entry.flow;
+  Flow* flow = q.front().get();
   flow->remaining_on_link -= chunk;
   queued_bytes_ -= chunk;
   ++stats_.chunks;
@@ -108,20 +98,20 @@ void Link::OnChunkDone(int queue, int64_t chunk) {
                                              static_cast<double>(kSecond));
   if (flow->remaining_on_link == 0) {
     ++stats_.flows_completed[queue];
-    FlowDoneFn done = std::move(entry.done);
+    // Pop and start the next chunk before the flow moves on, so the next
+    // hop's events order after this link's.
+    std::unique_ptr<Flow> done = std::move(q.front());
     q.pop_front();
     Pump();
-    if (done) {
-      done(flow, sim_->Now());
-    }
+    sink_(std::move(done), sim_->Now());
     return;
   }
   Pump();
 }
 
 NetDev::NetDev(Simulator* sim, double link_rate_bps, int64_t chunk_bytes,
-               const std::string& name)
-    : tx_(sim, link_rate_bps, chunk_bytes, Link::Discipline::kStrictPriority, name + "-tx"),
-      rx_(sim, link_rate_bps, chunk_bytes, Link::Discipline::kFifo, name + "-rx") {}
+               Link::FlowSink tx_sink, Link::FlowSink rx_sink)
+    : tx_(sim, link_rate_bps, chunk_bytes, Link::Discipline::kStrictPriority, std::move(tx_sink)),
+      rx_(sim, link_rate_bps, chunk_bytes, Link::Discipline::kFifo, std::move(rx_sink)) {}
 
 }  // namespace perfiso

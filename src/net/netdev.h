@@ -15,9 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <string>
 
 #include "src/net/flow.h"
 #include "src/sim/simulator.h"
@@ -27,9 +25,10 @@
 namespace perfiso {
 
 // A store-and-forward serializing element: flows queue, the link transmits
-// one chunk at a time at `rate_bps`, and a flow's on_link_done fires when its
-// last chunk leaves. Chunking is what makes priority preemptive in practice —
-// a primary flow waits at most one secondary chunk, never a whole bulk block.
+// one chunk at a time at `rate_bps`, and a flow that has sent its last chunk
+// leaves through the link's completion sink. Chunking is what makes priority
+// preemptive in practice — a primary flow waits at most one secondary chunk,
+// never a whole bulk block.
 class Link {
  public:
   enum class Discipline {
@@ -40,14 +39,16 @@ class Link {
   // Returns the current secondary egress bucket, or null when uncapped. A
   // provider (rather than a raw pointer) lets PerfIso install/clear the cap
   // at runtime; it is consulted before every secondary chunk.
-  using EgressBucketFn = std::function<TokenBucket*()>;
-  using FlowDoneFn = std::function<void(Flow*, SimTime)>;
+  using EgressBucketFn = InlineFunction<TokenBucket*(), 16>;
+  // Receives each flow whose last byte has left the link, and the time.
+  using FlowSink = InlineFunction<void(std::unique_ptr<Flow>, SimTime), 8>;
 
   Link(Simulator* sim, double rate_bps, int64_t chunk_bytes, Discipline discipline,
-       std::string name);
+       FlowSink sink);
 
   // A Link may die with a token-starved wake still armed (e.g. a fabric torn
   // down mid-run); the wake captures `this`, so it must not outlive us.
+  // Queued flows die with the link.
   ~Link() { sim_->CancelOwned(retry_event_); }
 
   Link(const Link&) = delete;
@@ -57,12 +58,9 @@ class Link {
   // priority, so a token-starved secondary head never blocks primary egress).
   void SetEgressBucketProvider(EgressBucketFn provider) { egress_bucket_ = std::move(provider); }
 
-  // Enqueues `flow` for serialization; `done` fires once all of
-  // `flow->bytes` have left the link. The flow must outlive the call.
-  void Enqueue(Flow* flow, FlowDoneFn done);
-
-  double rate_bps() const { return rate_bps_; }
-  const std::string& name() const { return name_; }
+  // Takes `flow` for serialization; it goes to the sink once all of
+  // `flow->bytes` have left the link.
+  void Enqueue(std::unique_ptr<Flow> flow);
 
   // Fault injection (link degradation): chunks *started* while the multiplier
   // is in effect serialize at `fraction` of nominal rate (a chunk already on
@@ -82,11 +80,6 @@ class Link {
   void ResetStats() { stats_ = LinkStats{}; }
 
  private:
-  struct Entry {
-    Flow* flow = nullptr;
-    FlowDoneFn done;
-  };
-
   // Picks the queue to serve next per the discipline; -1 when both are empty.
   int PickQueue() const;
   void Pump();
@@ -101,9 +94,9 @@ class Link {
   double rate_multiplier_ = 1.0;
   int64_t chunk_bytes_;
   Discipline discipline_;
-  std::string name_;
+  FlowSink sink_;
   EgressBucketFn egress_bucket_;
-  std::array<std::deque<Entry>, kNumNetClasses> queues_;
+  std::array<std::deque<std::unique_ptr<Flow>>, kNumNetClasses> queues_;
   uint64_t next_arrival_seq_ = 0;
   int64_t queued_bytes_ = 0;
   bool busy_ = false;
@@ -119,16 +112,13 @@ class Link {
 // low-priority marking of secondary traffic) and FIFO RX.
 class NetDev {
  public:
-  NetDev(Simulator* sim, double link_rate_bps, int64_t chunk_bytes, const std::string& name);
+  NetDev(Simulator* sim, double link_rate_bps, int64_t chunk_bytes, Link::FlowSink tx_sink,
+         Link::FlowSink rx_sink);
 
   Link& tx() { return tx_; }
   Link& rx() { return rx_; }
   const Link& tx() const { return tx_; }
   const Link& rx() const { return rx_; }
-
-  void SetEgressBucketProvider(Link::EgressBucketFn provider) {
-    tx_.SetEgressBucketProvider(std::move(provider));
-  }
 
  private:
   Link tx_;

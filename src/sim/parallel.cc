@@ -19,11 +19,12 @@ thread_local int tls_current_partition = -1;
 
 // One (src, dst) message buffer. Appended only by src's thread while src's
 // window runs; drained single-threaded at the barrier. Posting order within
-// the buffer is the deterministic per-source order the merge preserves.
+// the buffer is the deterministic per-source order the merge preserves. A
+// message's callback moves into the destination's event record at the merge.
 struct ParallelSimulation::Mailbox {
   struct Msg {
     SimTime deliver;
-    std::function<void()> fn;
+    EventCallback fn;
   };
   std::vector<Msg> msgs;
 };
@@ -99,7 +100,7 @@ ParallelSimulation::~ParallelSimulation() {
   }
 }
 
-void ParallelSimulation::Post(int dst, SimTime deliver_time, std::function<void()> fn) {
+void ParallelSimulation::Post(int dst, SimTime deliver_time, EventCallback fn) {
   assert(dst >= 0 && dst < num_partitions());
   const int src = tls_current_partition;
   if (src < 0 || src == dst || !in_window_) {

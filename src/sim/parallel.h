@@ -40,7 +40,6 @@
 #define PERFISO_SRC_SIM_PARALLEL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -91,7 +90,9 @@ class ParallelSimulation {
   //     exceeds the real latency floor — a setup bug).
   //   * To the calling thread's own partition, or outside a window (setup /
   //     between RunUntil calls): scheduled directly, no constraint.
-  void Post(int dst, SimTime deliver_time, std::function<void()> fn);
+  // The message owns `fn` (and whatever it captures, e.g. a fabric flow)
+  // until it fires; a ParallelSimulation destroyed first destroys it unrun.
+  void Post(int dst, SimTime deliver_time, EventCallback fn);
 
   // Runs every partition to `until` inclusive (same contract as
   // Simulator::RunUntil) in lockstep windows, merging mailboxes at each

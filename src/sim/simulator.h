@@ -53,7 +53,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
@@ -101,7 +100,9 @@ class EventHandle {
 // kInlineBytes are constructed in place; Simulator::Schedule boxes larger
 // ones on the heap, counted in Simulator::Stats so benches can verify the
 // hot-path layers stay inline. 56 bytes keeps every Schedule site in src/
-// inline (a few words plus, at most, one moved std::function).
+// inline (a few words: owner pointers, ids, at most a smart pointer or two).
+// An EventCallback passed to Schedule (a PDES mailbox message) moves straight
+// into the record.
 using EventCallback = InlineFunction<void(), 56>;
 
 class Simulator {
@@ -244,7 +245,9 @@ class Simulator {
   template <typename Fn>
   void EmplaceCallback(EventCallback& cb, Fn&& fn) {
     using Decayed = std::decay_t<Fn>;
-    if constexpr (EventCallback::kFits<Decayed>) {
+    if constexpr (std::is_same_v<Decayed, EventCallback>) {
+      cb = std::forward<Fn>(fn);
+    } else if constexpr (EventCallback::kFits<Decayed>) {
       cb.Emplace(std::forward<Fn>(fn));
     } else {
       ++stats_.callback_heap_allocs;

@@ -1,8 +1,9 @@
 // InlineFunction: a move-only callable wrapper with fixed inline storage.
 //
-// The simulator's hot paths (event records, thread completions, disk
-// completions, periodic ticks) hand callbacks around millions of times per
-// run. std::function heap-allocates any capture above ~16 bytes and its copy
+// The simulator's hot paths hand callbacks around millions of times per run:
+// event records and PDES mailbox messages, thread completions, disk
+// completions, periodic ticks, flow deliveries, link completion sinks and
+// egress-bucket providers, and index-server query completions. std::function heap-allocates any capture above ~16 bytes and its copy
 // semantics force copyable captures; this wrapper instead constructs the
 // callable inside a `Bytes`-sized buffer and never allocates. A capture that
 // does not fit is a compile error, so a hot path cannot silently start

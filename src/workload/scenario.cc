@@ -365,6 +365,11 @@ Status ScenarioSpec::Validate() const {
   if (sim_partitions > 0 && topology.columns <= 0) {
     return InvalidArgumentError("sim.partitions requires a cluster topology (columns > 0)");
   }
+  if (obs.enabled && topology.columns > 0) {
+    // The cluster runner builds no tracer or metrics sampler: accepting the
+    // key would drop the observability the spec asks for without a word.
+    return InvalidArgumentError("obs.enabled is single-box only (topology.columns must be 0)");
+  }
   if (warmup < 0) {
     return InvalidArgumentError("warmup must be >= 0");
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/net/netdev.h"
 #include "src/platform/sim_platform.h"
 #include "src/sim/machine.h"
@@ -106,6 +108,37 @@ TEST(NetTest, LoopbackSkipsTheNic) {
   sim.RunUntilEmpty();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(fabric.netdev(0).tx().stats().bytes_serialized[0], 0);
+}
+
+TEST(NetTest, FlowsInFlightAreReleasedOnceWhenTheFabricDies) {
+  // Each in-flight flow has exactly one owner: a link queue, a pending
+  // event, or (partitioned) a mailbox message. Tearing the fabric and its
+  // simulator down mid-run destroys every flow and its delivery callback
+  // once, without running it.
+  auto sentinel = std::make_shared<int>(0);
+  {
+    auto sim = std::make_unique<Simulator>();
+    auto fabric = std::make_unique<Fabric>(sim.get(), TestConfig());
+    fabric->AttachMachine("a");
+    fabric->AttachMachine("b");
+    fabric->AttachMachine("c");
+    // 1 MiB takes ~10 ms at a's TX: still queued on the link at 50 us.
+    fabric->Send(0, 1, 1024 * 1024, NetClass::kPrimary, [sentinel](SimTime) { ++*sentinel; });
+    // 1 KB leaves c's TX after ~10 us, then waits out 100 us of propagation.
+    fabric->Send(2, 1, 1024, NetClass::kPrimary, [sentinel](SimTime) { ++*sentinel; });
+    sim->RunUntil(FromMicros(50));
+    ASSERT_EQ(fabric->netdev(2).tx().stats().flows_completed[0], 1);
+    ASSERT_EQ(fabric->netdev(1).rx().stats().chunks, 0);
+    // Loopback: delivery is a pending zero-delay event.
+    fabric->Send(0, 0, 64, NetClass::kPrimary, [sentinel](SimTime) { ++*sentinel; });
+    EXPECT_EQ(fabric->flows_in_flight(), 3);
+    EXPECT_EQ(sentinel.use_count(), 4);
+    fabric.reset();  // links (and their queued flows) first; the sim outlives them
+    EXPECT_EQ(sentinel.use_count(), 3);
+    sim.reset();  // then the pending events that own the other two flows
+  }
+  EXPECT_EQ(*sentinel, 0);
+  EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 TEST(NetTest, PrimaryPreemptsSecondaryInTxQueues) {

@@ -326,6 +326,28 @@ TEST(ScenarioSpecTest, ValidateChecksClientAndTopology) {
   EXPECT_FALSE(spec.Validate().ok());
 }
 
+// The cluster runner builds no tracer or metrics sampler, so a cluster spec
+// that enables obs would silently trace nothing (sequential or partitioned).
+TEST(ScenarioSpecTest, ValidateRejectsObsOnClusterSpecs) {
+  ScenarioSpec spec;
+  spec.obs.enabled = true;
+  EXPECT_TRUE(spec.Validate().ok()) << "single-box specs keep obs";
+
+  spec.topology.columns = 4;
+  spec.topology.rows = 2;
+  const Status status = spec.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("obs.enabled"), std::string::npos) << status.ToString();
+  spec.sim_partitions = 3;
+  EXPECT_FALSE(spec.Validate().ok());
+
+  ConfigMap map = spec.ToConfigMap();
+  EXPECT_FALSE(ScenarioSpec::FromConfigMap(map).ok());
+
+  spec.obs.enabled = false;
+  EXPECT_TRUE(spec.Validate().ok()) << spec.Validate().ToString();
+}
+
 TEST(ScenarioSpecTest, ClientKindNamesRoundTrip) {
   for (ClientKind kind : {ClientKind::kOpenLoop, ClientKind::kClosedLoop}) {
     auto parsed = ParseClientKind(ClientKindName(kind));

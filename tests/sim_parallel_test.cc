@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -57,6 +58,27 @@ TEST(ParallelSimulationTest, SetupPostsScheduleDirectly) {
   EXPECT_EQ(psim.stats().setup_posts, 1u);
   psim.RunUntil(1000);
   EXPECT_TRUE(ran);
+}
+
+TEST(ParallelSimulationTest, UndeliveredMessagesAreReleasedOnceOnDestruction) {
+  // A mailbox message owns its callback: a message that never fires (posted
+  // mid-window, merged at the barrier, due after the run ends; or posted at
+  // setup past the end) is destroyed with the ParallelSimulation, releasing
+  // its captures exactly once.
+  auto sentinel = std::make_shared<int>(0);
+  {
+    ParallelSimulation psim({/*partitions=*/3, kWindow, /*threads=*/2});
+    psim.Post(2, 10 * kSecond, [sentinel] { ++*sentinel; });
+    psim.sim(0).Schedule(1000, [&psim, sentinel] {
+      psim.Post(1, psim.sim(0).Now() + kSecond, [sentinel] { ++*sentinel; });
+    });
+    psim.RunUntil(FromMillis(1));
+    EXPECT_EQ(psim.stats().messages_posted, 1u);
+    EXPECT_EQ(psim.stats().setup_posts, 1u);
+    EXPECT_EQ(sentinel.use_count(), 3);  // one capture per undelivered message
+  }
+  EXPECT_EQ(*sentinel, 0);
+  EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 TEST(ParallelSimulationTest, SkipAheadCrossesIdleSpans) {

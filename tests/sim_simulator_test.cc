@@ -180,6 +180,24 @@ TEST(SimulatorTest, LargeCallbacksFallBackToCountedHeapAllocation) {
   EXPECT_EQ(got, 43u);
 }
 
+TEST(SimulatorTest, EventCallbackMovesIntoTheRecordWithoutBoxing) {
+  // A ready-made EventCallback (a PDES mailbox message) is itself larger than
+  // the inline buffer it wraps; Schedule must move it in, not box it.
+  Simulator sim;
+  auto owner = std::make_shared<int>(7);
+  uint64_t pad[5] = {1, 2, 3, 4, 5};  // 48-byte capture: a full-size callback
+  uint64_t got = 0;
+  EventCallback full = [pad, &got] { got += pad[4]; };
+  EventCallback owning = [owner, &got] { got += static_cast<uint64_t>(*owner); };
+  sim.Schedule(1, std::move(full));
+  sim.ScheduleAfter(2, std::move(owning));
+  EXPECT_EQ(sim.stats().callback_heap_allocs, 0u);
+  EXPECT_EQ(owner.use_count(), 2);  // moved, not copied
+  sim.RunUntilEmpty();
+  EXPECT_EQ(got, 12u);
+  EXPECT_EQ(owner.use_count(), 1);  // released when the event fired
+}
+
 TEST(SimulatorTest, PoolRecyclesSlotsWithoutGrowth) {
   Simulator sim;
   // Self-rescheduling chain: after the first slab, steady state allocates no

@@ -446,6 +446,26 @@ FileCategory CategorizeByPath(const std::string& path) {
   return category;
 }
 
+bool InPerEventDir(const std::string& path) {
+  static const std::set<std::string> kPerEventDirs = {
+      "sim", "net", "cluster", "indexserve", "disk", "perfiso",
+  };
+  std::string norm = path;
+  std::replace(norm.begin(), norm.end(), '\\', '/');
+  std::vector<std::string> parts;
+  std::istringstream in(norm);
+  for (std::string part; std::getline(in, part, '/');) {
+    parts.push_back(part);
+  }
+  // parts.back() is the file name; a matching directory must precede it.
+  for (size_t i = 0; i + 2 < parts.size(); ++i) {
+    if (parts[i] == "src" && kPerEventDirs.count(parts[i + 1]) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* CategoryName(FileCategory category) {
   switch (category) {
     case FileCategory::kSrc:
@@ -470,6 +490,7 @@ std::vector<Finding> LintSource(const std::string& path, const std::string& cont
   const bool det001_allowed = MatchesAny(path, options.det001_allowlist);
   const bool det002_allowed = MatchesAny(path, options.det002_allowlist);
   const bool sim_visible = category == FileCategory::kSrc || category == FileCategory::kBench;
+  const bool per_event = InPerEventDir(path);
 
   std::vector<Finding> findings;
   const auto add = [&](int line, const std::string& rule, std::string message) {
@@ -550,6 +571,13 @@ std::vector<Finding> LintSource(const std::string& path, const std::string& cont
                 "runs; key by a stable id (or supply a by-value comparator and "
                 "suppress with rationale)");
       }
+    }
+    // PERF-002: std::function on the per-event paths.
+    if (per_event && t.text == "function" && PrecededByStd(toks, i)) {
+      add(t.line, "perfiso-PERF-002",
+          "'std::function' in a per-event directory — it heap-allocates larger "
+          "captures and cannot hold move-only ones; use InlineFunction "
+          "(src/util/inline_function.h) with a fixed inline budget");
     }
     // OBS-001: names passed to the observability sinks must be single
     // lowercase dot-separated string literals. Sinks are always reached as

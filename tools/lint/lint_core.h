@@ -37,6 +37,13 @@
 //            stale). Indexed / member targets (one event per distinct owner),
 //            declarations, and lambda bodies merely defined inside a loop
 //            are exempt.
+//   PERF-002 no std::function in the per-event directories (src/sim,
+//            src/net, src/cluster, src/indexserve, src/disk, src/perfiso):
+//            it heap-allocates captures above ~16 bytes and forces copyable
+//            captures, so a flow or query could not move through it. Use
+//            InlineFunction (src/util/inline_function.h), whose oversized
+//            captures fail to compile. Cold paths elsewhere (log sinks,
+//            metric probes, trace clients) may keep std::function.
 //   LIFE-001 EventHandle members in a class with no destructor and no
 //            Cancel* member: armed events can outlive their owner (heuristic,
 //            suppress when another object owns the lifecycle).
@@ -62,6 +69,9 @@ namespace lint {
 enum class FileCategory { kSrc, kBench, kTests, kExamples, kOther };
 
 FileCategory CategorizeByPath(const std::string& path);
+// True when `path` lies under src/<dir>/ for one of PERF-002's per-event
+// directories (any depth; fixture trees match like the real tree).
+bool InPerEventDir(const std::string& path);
 const char* CategoryName(FileCategory category);
 
 struct Finding {

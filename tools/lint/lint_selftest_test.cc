@@ -201,6 +201,24 @@ TEST(LintSource, Perf001StraightLineAndScheduleOrTightenAreClean) {
       "void F(S* s, H h) { while (s->Busy()) { s->ScheduleOrTighten(h, 5, cb); } }\n").empty());
 }
 
+TEST(LintFixtures, Perf002FlagsStdFunctionInPerEventDirectories) {
+  const RL got = RuleLines(LintFixture("src/net/bad_function.cc"));
+  const RL want = {
+      {"perfiso-PERF-002", 8},   // member
+      {"perfiso-PERF-002", 11},  // alias
+  };
+  EXPECT_EQ(got, want);  // line 18 is NOLINT-suppressed
+}
+
+TEST(LintFixtures, Perf002IsScopedToPerEventDirectories) {
+  EXPECT_TRUE(LintFixture("src/obs/function_ok.cc").empty());
+  EXPECT_TRUE(InPerEventDir("src/indexserve/index_server.h"));
+  EXPECT_TRUE(InPerEventDir("/repo/src/sim/parallel/x.cc"));
+  EXPECT_FALSE(InPerEventDir("src/util/logging.h"));
+  EXPECT_FALSE(InPerEventDir("bench/sim/x.cc"));
+  EXPECT_FALSE(InPerEventDir("src/sim"));  // a file, not a directory
+}
+
 TEST(LintFixtures, Obs001FlagsNonLiteralMetricNames) {
   const RL got = RuleLines(LintFixture("src/bad_obs_name.cc"));
   const RL want = {
