@@ -280,6 +280,52 @@ TEST(GoldenDigestTest, DisabledFaultPlanLeavesDigestsUnchanged) {
   }
 }
 
+// Rows pinned like kGoldens, but on the lifecycle transitions those two never
+// take: the machine's CPU-rate-cap throttle and unthrottle (blind-high run as
+// the §6.1.4 cycle-cap baseline), and the server's crash, crash-reject and
+// restart paths. They live in their own table because kGoldens also feeds the
+// disabled-fault and obs-passivity tests, which a fault row would break.
+// Same update procedure as kGoldens.
+struct TransitionGolden {
+  const char* scenario;
+  bool rate_cap;  // run with cpu_mode = kCpuRateCap
+  uint64_t digest;
+  int64_t queries;
+  int64_t dropped_crash;
+  double secondary_progress;
+};
+
+constexpr TransitionGolden kTransitionGoldens[] = {
+    {"blind-high", true, 0x6d16ed3c5fbe9295ULL, 9822, 0, 0x1.70a3d63d27c28p+3},
+    {"fault-crash-restart", false, 0x118d56650950fcaaULL, 9822, 3913, 0x0p+0},
+};
+
+TEST(GoldenDigestTest, PinnedTransitionDigests) {
+  const ScopedEnv scale_guard("PERFISO_BENCH_SCALE", "1");
+  const bool update = std::getenv("PERFISO_UPDATE_GOLDENS") != nullptr;
+  for (const TransitionGolden& golden : kTransitionGoldens) {
+    auto spec = bench::FindScenario(golden.scenario);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    spec->measure = 5 * kSecond;  // the crash at t=3s and the restart at t=5s are inside
+    if (golden.rate_cap) {
+      spec->perfiso->cpu_mode = CpuIsolationMode::kCpuRateCap;
+    }
+    const SingleBoxResult result = RunSingleBox(*spec);
+    if (update) {
+      std::printf("    {\"%s\", %s, 0x%016llxULL, %lld, %lld, %a},\n", golden.scenario,
+                  golden.rate_cap ? "true" : "false",
+                  static_cast<unsigned long long>(result.latency_digest),
+                  static_cast<long long>(result.queries),
+                  static_cast<long long>(result.dropped_crash), result.secondary_progress);
+      continue;
+    }
+    EXPECT_EQ(result.latency_digest, golden.digest) << golden.scenario;
+    EXPECT_EQ(result.queries, golden.queries) << golden.scenario;
+    EXPECT_EQ(result.dropped_crash, golden.dropped_crash) << golden.scenario;
+    EXPECT_EQ(result.secondary_progress, golden.secondary_progress) << golden.scenario;
+  }
+}
+
 TEST(BenchDeterminismTest, Fig09StyleClusterDigestsAreIdentical) {
   const ClusterDigest first = RunFig09Style();
   const ClusterDigest second = RunFig09Style();

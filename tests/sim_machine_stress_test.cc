@@ -104,17 +104,18 @@ TEST_P(MachineFuzzTest, RandomOpsPreserveInvariants) {
   EXPECT_LE(machine.metrics().TotalBusy(), 8 * sim.Now());
 
   // Differential oracle: the whole dispatch sequence (time, core, thread)
-  // of two seeds, pinned from the scan-based scheduler that preceded the
-  // counted work-stealing gate. Any change to a scheduling decision moves it.
+  // of every seed. 101 and 505 were pinned from the scan-based scheduler that
+  // preceded the counted work-stealing gate, the rest from the scheduler with
+  // a separate copy of each preemption and resume loop. Any change to a
+  // scheduling decision moves it.
   const std::map<uint64_t, uint64_t> kPinnedDispatchDigests = {
-      {101, 0x2ea3aad5b5b3ac57ULL},
-      {505, 0x049b4a9994acb237ULL},
+      {101, 0x2ea3aad5b5b3ac57ULL}, {202, 0xe8ba09a1ea314273ULL},
+      {303, 0x33d1116a8e01ff72ULL}, {404, 0x190d3a1915e6360fULL},
+      {505, 0x049b4a9994acb237ULL}, {606, 0x4302890a971753d0ULL},
+      {707, 0x7c59ca3b87dd5cdeULL}, {808, 0x725c642c1e004eb1ULL},
   };
-  const auto pinned = kPinnedDispatchDigests.find(GetParam());
-  if (pinned != kPinnedDispatchDigests.end()) {
-    EXPECT_EQ(machine.metrics().dispatch_digest, pinned->second)
-        << std::hex << "0x" << machine.metrics().dispatch_digest;
-  }
+  EXPECT_EQ(machine.metrics().dispatch_digest, kPinnedDispatchDigests.at(GetParam()))
+      << std::hex << "0x" << machine.metrics().dispatch_digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MachineFuzzTest,
