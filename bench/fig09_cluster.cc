@@ -25,7 +25,6 @@
 #include "bench/harness.h"
 #include "src/cluster/cluster.h"
 #include "src/obs/obs.h"
-#include "src/obs/trace_export.h"
 
 namespace {
 
@@ -60,7 +59,7 @@ LayerRow Summarize(const LatencyRecorder& rec) {
 ClusterResult RunCluster(Secondary secondary, bench::ObsArtifacts* obs = nullptr) {
   Simulator sim;
   ClusterOptions options;
-  options.topology = ClusterTopology{22, 2, 31};
+  options.topology = TopologySpec{22, 2, 31};
   Cluster cluster(&sim, options);
 
   cluster.ForEachIndexNode([&](IndexNodeRig& node) {
@@ -142,11 +141,7 @@ ClusterResult RunCluster(Secondary secondary, bench::ObsArtifacts* obs = nullptr
   result.drops = cluster.leaf_drops();
 
   if (obs_ctx != nullptr) {
-    obs_ctx->sampler->SampleNow(sim.Now());
-    obs->enabled = true;
-    obs->trace_json = ExportChromeTrace(obs_ctx->tracer);
-    obs->metrics_json = obs_ctx->sampler->ToJson();
-    obs->attribution = FormatP99AttributionTable(obs_ctx->tracer);
+    bench::ExportObsArtifacts(*obs_ctx, sim.Now(), obs);
   }
   return result;
 }

@@ -32,7 +32,6 @@
 #include "src/fault/fault_injector.h"
 #include "src/fault/invariant_checker.h"
 #include "src/obs/obs.h"
-#include "src/obs/trace_export.h"
 
 namespace {
 
@@ -54,7 +53,7 @@ struct ClusterRow {
 ClusterRow RunClusterWithFaults(const FaultPlan& plan, bench::ObsArtifacts* obs = nullptr) {
   Simulator sim;
   ClusterOptions options;
-  options.topology = ClusterTopology{6, 2, 2};
+  options.topology = TopologySpec{6, 2, 2};
   Cluster cluster(&sim, options);
 
   cluster.ForEachIndexNode([](IndexNodeRig& node) {
@@ -131,11 +130,7 @@ ClusterRow RunClusterWithFaults(const FaultPlan& plan, bench::ObsArtifacts* obs 
   row.faults_injected = injector.stats().injected;
 
   if (obs_ctx != nullptr) {
-    obs_ctx->sampler->SampleNow(sim.Now());
-    obs->enabled = true;
-    obs->trace_json = ExportChromeTrace(obs_ctx->tracer);
-    obs->metrics_json = obs_ctx->sampler->ToJson();
-    obs->attribution = FormatP99AttributionTable(obs_ctx->tracer);
+    bench::ExportObsArtifacts(*obs_ctx, sim.Now(), obs);
   }
   return row;
 }

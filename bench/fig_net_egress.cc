@@ -39,7 +39,7 @@ struct NetResult {
 NetResult RunScenario(bool bully, double egress_cap_bps) {
   Simulator sim;
   ClusterOptions options;
-  options.topology = ClusterTopology{8, 2, 8};
+  options.topology = TopologySpec{8, 2, 8};
 
   PerfIsoConfig config;
   config.cpu_mode = CpuIsolationMode::kBlindIsolation;

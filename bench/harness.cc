@@ -276,6 +276,16 @@ ScenarioSpec WithBenchObs(ScenarioSpec spec) {
   return spec;
 }
 
+void ExportObsArtifacts(ObsContext& ctx, SimTime now, ObsArtifacts* obs) {
+  ctx.sampler->SampleNow(now);
+  if (obs != nullptr) {
+    obs->enabled = true;
+    obs->trace_json = ExportChromeTrace(ctx.tracer);
+    obs->metrics_json = ctx.sampler->ToJson();
+    obs->attribution = FormatP99AttributionTable(ctx.tracer);
+  }
+}
+
 void WriteObsArtifacts(const std::string& name, const ObsArtifacts& obs) {
   if (!obs.enabled) {
     return;
@@ -434,13 +444,7 @@ SingleBoxResult RunSingleBox(const ScenarioSpec& input, const IndexNodeOptions& 
   }
 
   if (obs_ctx != nullptr) {
-    obs_ctx->sampler->SampleNow(sim.Now());
-    if (obs != nullptr) {
-      obs->enabled = true;
-      obs->trace_json = ExportChromeTrace(obs_ctx->tracer);
-      obs->metrics_json = obs_ctx->sampler->ToJson();
-      obs->attribution = FormatP99AttributionTable(obs_ctx->tracer);
-    }
+    ExportObsArtifacts(*obs_ctx, sim.Now(), obs);
   }
   return result;
 }
@@ -662,8 +666,7 @@ ClusterOptions MakeClusterOptions(const ScenarioSpec& scenario) {
     std::abort();
   }
   ClusterOptions options;
-  options.topology = ClusterTopology{scenario.topology.columns, scenario.topology.rows,
-                                     scenario.topology.tla_machines};
+  options.topology = scenario.topology;
   options.node.seed = scenario.node_seed;
   return options;
 }

@@ -110,6 +110,11 @@ struct ObsArtifacts {
 // default full-rate metrics sampling.
 ScenarioSpec WithBenchObs(ScenarioSpec spec);
 
+// Takes the run's closing metrics sample at `now` and, when `obs` is given,
+// fills it from `ctx`'s tracer and sampler: the one export every traced
+// bench run goes through.
+void ExportObsArtifacts(ObsContext& ctx, SimTime now, ObsArtifacts* obs);
+
 // Path of `filename` in the bench output directory (PERFISO_BENCH_OUT, or
 // the working directory when unset).
 std::string BenchOutPath(const std::string& filename);

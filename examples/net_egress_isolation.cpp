@@ -21,7 +21,7 @@ namespace {
 double RunOnce(double egress_cap_bps, double* secondary_egress_bps) {
   Simulator sim;
   ClusterOptions options;
-  options.topology = ClusterTopology{6, 1, 2};
+  options.topology = TopologySpec{6, 1, 2};
   Cluster cluster(&sim, options);
 
   for (int i = 0; i < cluster.NumIndexNodes(); ++i) {

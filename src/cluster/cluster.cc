@@ -39,12 +39,13 @@ int Cluster::PartitionForRow(int row) const {
 }
 
 Cluster::Cluster(Simulator* sim, ParallelSimulation* psim, const ClusterOptions& options)
-    : sim_(sim), psim_(psim), options_(options), rng_(options.seed) {
-  const ClusterTopology& topo = options_.topology;
+    : sim_(sim), psim_(psim), options_(options) {
+  const TopologySpec& topo = options_.topology;
   assert(topo.columns > 0 && topo.rows > 0 && topo.tla_machines > 0);
   fabric_ = psim_ != nullptr ? std::make_unique<Fabric>(psim_, options_.fabric)
                              : std::make_unique<Fabric>(sim_, options_.fabric);
   index_nodes_.reserve(static_cast<size_t>(topo.columns * topo.rows));
+  Rng rng(options_.seed);
   for (int row = 0; row < topo.rows; ++row) {
     // Every machine of a row shares the row's partition, so leaf fan-out and
     // fan-in stay on one simulator.
@@ -55,7 +56,7 @@ Cluster::Cluster(Simulator* sim, ParallelSimulation* psim, const ClusterOptions&
       // Seeds are drawn in row-major construction order regardless of
       // partitioning, so node behavior is identical at any partition count
       // modulo the cross-partition hop timing.
-      node.seed = rng_.Next();
+      node.seed = rng.Next();
       auto rig = std::make_unique<IndexNodeRig>(
           row_sim, node, "is-r" + std::to_string(row) + "c" + std::to_string(col));
       const int endpoint = fabric_->AttachMachine(rig->machine().name(), partition);
@@ -118,7 +119,8 @@ void Cluster::SubmitQuery(const QueryWork& work, IndexServer::QueryDoneFn done) 
         }
         if (chosen < 0) {
           // The whole row is down: nothing can serve this query.
-          FailAtTla(pending, now);
+          pending->leaves_failed = options_.topology.columns;
+          ReplyAtTla(pending, now);
           return;
         }
         pending->mla_node = chosen;
@@ -209,39 +211,7 @@ void Cluster::FinalizeMla(const std::shared_ptr<PendingQuery>& pending) {
               tla->SpawnThread(
                   TenantClass::kPrimary, JobId{},
                   FromMicros(options_.tla_cpu_us),
-                  [this, pending](SimTime end) {
-                    const int cols = options_.topology.columns;
-                    const double coverage =
-                        cols == 0 ? 1.0
-                                  : static_cast<double>(cols - pending->leaves_failed) /
-                                        static_cast<double>(cols);
-                    const bool failed = coverage < options_.min_leaf_coverage;
-                    QueryResult result;
-                    result.id = pending->work.id;
-                    result.submit_time = pending->tla_submit;
-                    result.finish_time = end;
-                    result.latency_ms = ToMillis(end - pending->tla_submit);
-                    result.chunks_total = cols;
-                    result.chunks_served = cols - pending->leaves_failed;
-                    result.degraded = pending->leaves_failed > 0;
-                    result.dropped = failed;
-                    if (failed) {
-                      ++queries_failed_;
-                    } else {
-                      ++queries_completed_;
-                      if (pending->leaves_failed > 0) {
-                        ++queries_degraded_;
-                      }
-                      coverage_fraction_.Add(coverage);
-                      tla_latency_ms_.Add(result.latency_ms);
-                    }
-                    if (tracer_ != nullptr && pending->work.trace_ctx != 0) {
-                      tracer_->EndTrace(pending->work.trace_ctx, end, failed);
-                    }
-                    if (pending->done) {
-                      pending->done(result);
-                    }
-                  },
+                  [this, pending](SimTime end) { ReplyAtTla(pending, end); },
                   pending->work.trace_ctx);
             },
             pending->work.trace_ctx);
@@ -249,19 +219,34 @@ void Cluster::FinalizeMla(const std::shared_ptr<PendingQuery>& pending) {
       pending->work.trace_ctx);
 }
 
-void Cluster::FailAtTla(const std::shared_ptr<PendingQuery>& pending, SimTime now) {
-  ++queries_failed_;
+void Cluster::ReplyAtTla(const std::shared_ptr<PendingQuery>& pending, SimTime now) {
+  const int cols = options_.topology.columns;
+  const int served = cols - pending->leaves_failed;
+  const double coverage = static_cast<double>(served) / static_cast<double>(cols);
+  const bool failed = served == 0 || coverage < options_.min_leaf_coverage;
+  QueryResult result;
+  result.id = pending->work.id;
+  result.submit_time = pending->tla_submit;
+  result.finish_time = now;
+  result.latency_ms = ToMillis(now - pending->tla_submit);
+  result.chunks_total = cols;
+  result.chunks_served = served;
+  result.degraded = pending->leaves_failed > 0;
+  result.dropped = failed;
+  if (failed) {
+    ++queries_failed_;
+  } else {
+    ++queries_completed_;
+    if (pending->leaves_failed > 0) {
+      ++queries_degraded_;
+    }
+    coverage_fraction_.Add(coverage);
+    tla_latency_ms_.Add(result.latency_ms);
+  }
   if (tracer_ != nullptr && pending->work.trace_ctx != 0) {
-    tracer_->EndTrace(pending->work.trace_ctx, now, /*dropped=*/true);
+    tracer_->EndTrace(pending->work.trace_ctx, now, failed);
   }
   if (pending->done) {
-    QueryResult result;
-    result.id = pending->work.id;
-    result.submit_time = pending->tla_submit;
-    result.finish_time = now;
-    result.latency_ms = ToMillis(now - pending->tla_submit);
-    result.dropped = true;
-    result.chunks_total = options_.topology.columns;
     pending->done(result);
   }
 }

@@ -23,20 +23,16 @@
 #include <vector>
 
 #include "src/cluster/index_node.h"
+#include "src/cluster/topology.h"
 #include "src/net/fabric.h"
 #include "src/util/stats.h"
 #include "src/workload/query_trace.h"
 
 namespace perfiso {
 
-struct ClusterTopology {
-  int columns = 22;
-  int rows = 2;
-  int tla_machines = 31;  // separate from the 44 index machines (75 total)
-};
-
 struct ClusterOptions {
-  ClusterTopology topology;
+  // 31 TLA machines, separate from the 44 index machines (75 total).
+  TopologySpec topology{/*columns=*/22, /*rows=*/2, /*tla_machines=*/31};
   FabricConfig fabric;  // absorbs the old NetworkSpec (rates + RPC sizes)
   IndexNodeOptions node;
   // Aggregation CPU costs on MLA/TLA machines.
@@ -44,8 +40,9 @@ struct ClusterOptions {
   double mla_finalize_cpu_us = 250;
   double tla_cpu_us = 150;
   // Graceful degradation: a query whose answered-leaf fraction is at least
-  // this completes (degraded when below 1.0); below it the TLA fails the
-  // query. Failed-coverage leaves are crashed leaves plus per-leaf drops.
+  // this completes (degraded when below 1.0); below it, or with no leaf
+  // answering at all, the TLA fails the query. Failed-coverage leaves are
+  // crashed leaves plus per-leaf drops.
   double min_leaf_coverage = 0.5;
   uint64_t seed = 42;
 };
@@ -157,13 +154,14 @@ class Cluster {
   // All leaf slots accounted for: finalize on the MLA and reply to the TLA,
   // completing (possibly degraded) or failing on leaf coverage.
   void FinalizeMla(const std::shared_ptr<PendingQuery>& pending);
-  // Terminal failure before any MLA was reachable (whole row crashed).
-  void FailAtTla(const std::shared_ptr<PendingQuery>& pending, SimTime now);
+  // The TLA's reply, shared by every query: completes it (degraded when some
+  // leaves failed) or fails it on leaf coverage, ends its trace and calls
+  // `done`. A query that reached no MLA arrives with every leaf failed.
+  void ReplyAtTla(const std::shared_ptr<PendingQuery>& pending, SimTime now);
 
   Simulator* sim_;                      // partition 0's simulator
   ParallelSimulation* psim_ = nullptr;  // null in sequential mode
   ClusterOptions options_;
-  Rng rng_;
   Tracer* tracer_ = nullptr;
   std::unique_ptr<Fabric> fabric_;
   std::vector<std::unique_ptr<IndexNodeRig>> index_nodes_;  // row-major [row][col]

@@ -28,67 +28,59 @@ IoScheduler::Owner& IoScheduler::GetOrCreateOwner(int owner) {
   return it->second;
 }
 
+Status IoScheduler::CheckOwner(int owner) const {
+  return owners_.count(owner) != 0 ? OkStatus() : NotFoundError("unregistered I/O owner");
+}
+
 Status IoScheduler::SetPriority(int owner, int priority) {
-  auto it = owners_.find(owner);
-  if (it == owners_.end()) {
-    return NotFoundError("unregistered I/O owner");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckOwner(owner));
+  Owner& state = owners_.at(owner);
   if (priority < 0 || priority >= kNumPriorities) {
     return InvalidArgumentError("priority out of range");
   }
-  it->second.priority = priority;
+  state.priority = priority;
   Pump();
   return OkStatus();
 }
 
 Status IoScheduler::SetWeight(int owner, double weight) {
-  auto it = owners_.find(owner);
-  if (it == owners_.end()) {
-    return NotFoundError("unregistered I/O owner");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckOwner(owner));
+  Owner& state = owners_.at(owner);
   if (weight <= 0) {
     return InvalidArgumentError("weight must be positive");
   }
-  it->second.weight = weight;
+  state.weight = weight;
   return OkStatus();
 }
 
 Status IoScheduler::SetBandwidthCap(int owner, double bytes_per_sec) {
-  auto it = owners_.find(owner);
-  if (it == owners_.end()) {
-    return NotFoundError("unregistered I/O owner");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckOwner(owner));
+  Owner& state = owners_.at(owner);
   if (bytes_per_sec <= 0) {
-    it->second.bandwidth_cap.reset();
+    state.bandwidth_cap.reset();
   } else {
     // Burst of one second's allowance keeps large sequential ops admissible.
-    it->second.bandwidth_cap =
-        std::make_unique<TokenBucket>(bytes_per_sec, bytes_per_sec);
+    state.bandwidth_cap = std::make_unique<TokenBucket>(bytes_per_sec, bytes_per_sec);
   }
   Pump();
   return OkStatus();
 }
 
 Status IoScheduler::SetIopsCap(int owner, double iops) {
-  auto it = owners_.find(owner);
-  if (it == owners_.end()) {
-    return NotFoundError("unregistered I/O owner");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckOwner(owner));
+  Owner& state = owners_.at(owner);
   if (iops <= 0) {
-    it->second.iops_cap.reset();
+    state.iops_cap.reset();
   } else {
-    it->second.iops_cap = std::make_unique<TokenBucket>(iops, std::max(1.0, iops / 10));
+    state.iops_cap = std::make_unique<TokenBucket>(iops, std::max(1.0, iops / 10));
   }
   Pump();
   return OkStatus();
 }
 
 StatusOr<int> IoScheduler::Priority(int owner) const {
-  auto it = owners_.find(owner);
-  if (it == owners_.end()) {
-    return NotFoundError("unregistered I/O owner");
-  }
-  return it->second.priority;
+  PERFISO_RETURN_IF_ERROR(CheckOwner(owner));
+  return owners_.at(owner).priority;
 }
 
 void IoScheduler::Submit(IoRequest request) {

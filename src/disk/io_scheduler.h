@@ -98,6 +98,9 @@ class IoScheduler {
   };
 
   Owner& GetOrCreateOwner(int owner);
+  // NotFound unless `owner` is registered: the one check of the Set* and
+  // Priority methods.
+  Status CheckOwner(int owner) const;
   // Accounting for a completed request this scheduler admitted (called by
   // the serving drive before the user callback; Pump follows it).
   void SettleCompleted(const IoRequest& request, SimTime now);

@@ -17,7 +17,7 @@ SimDuration ScaledUs(double us, double size_factor) {
 
 IndexServer::IndexServer(SimMachine* machine, IoScheduler* ssd, IoScheduler* hdd,
                          const IndexServeConfig& config, uint64_t seed)
-    : machine_(machine), ssd_(ssd), hdd_(hdd), config_(config), rng_(seed), seed_(seed) {
+    : machine_(machine), ssd_(ssd), hdd_(hdd), config_(config), seed_(seed) {
   assert(machine_ != nullptr && ssd_ != nullptr);
   job_ = machine_->CreateJob("indexserve");
   (void)machine_->AddJobMemory(job_, config_.working_set_bytes);
@@ -50,6 +50,7 @@ IndexServer::QueryState& IndexServer::AcquireSlot() {
   // carry over from the slot's previous occupant.
   const uint32_t generation = q.id.generation;
   std::vector<ChunkSlot> chunks = std::move(q.chunks);
+  chunks.clear();
   q = QueryState{};
   q.id = {slot, generation};
   q.live = true;
@@ -83,50 +84,10 @@ IndexServer::QueryDoneFn IndexServer::Release(QueryState& q) {
 
 void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
   ++stats_.submitted;
-  if (crashed_) {
-    // No events are delivered to a crashed machine: the connection is simply
-    // refused. The cluster counts the leaf as failed for this query.
-    ++stats_.dropped_crash;
-    if (tracer_ != nullptr && work.trace_ctx == 0) {
-      const SimTime now = machine_->sim()->Now();
-      tracer_->EndTrace(tracer_->BeginTrace("isq", now), now, /*dropped=*/true);
-    }
-    if (done) {
-      QueryResult result;
-      result.id = work.id;
-      result.submit_time = machine_->sim()->Now();
-      result.finish_time = result.submit_time;
-      result.dropped = true;
-      result.chunks_total = work.fanout;
-      done(result);
-    }
-    return;
-  }
-  if (inflight_ >= config_.max_inflight) {
-    ++stats_.dropped_admission;
-    if (tracer_ != nullptr && work.trace_ctx == 0) {
-      // Zero-length dropped trace so rejected queries appear in summaries.
-      const SimTime now = machine_->sim()->Now();
-      tracer_->EndTrace(tracer_->BeginTrace("isq", now), now, /*dropped=*/true);
-    }
-    if (done) {
-      QueryResult result;
-      result.id = work.id;
-      result.submit_time = machine_->sim()->Now();
-      result.finish_time = result.submit_time;
-      result.dropped = true;
-      done(result);
-    }
-    return;
-  }
   ++inflight_;
   QueryState& q = AcquireSlot();
   q.work = work;
   q.done = std::move(done);
-  // Mix in the server identity: each machine holds a different index
-  // partition, so the same query does *different* work on each leaf. This is
-  // what makes the MLA see a max over independent leaf latencies [15].
-  q.rng = Rng(work.seed ^ (seed_ * 0x9e3779b97f4a7c15ULL));
   q.arrival = machine_->sim()->Now();
   if (work.trace_ctx != 0) {
     q.trace_ctx = work.trace_ctx;
@@ -135,6 +96,20 @@ void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
     q.owns_trace = true;
   }
   q.chunks_left = work.fanout;
+  if (crashed_) {
+    // No events are delivered to a crashed machine: the connection is simply
+    // refused. The cluster counts the leaf as failed for this query.
+    Terminate(q, Outcome::kCrashed);
+    return;
+  }
+  if (inflight_ > config_.max_inflight) {
+    Terminate(q, Outcome::kRejected);
+    return;
+  }
+  // Mix in the server identity: each machine holds a different index
+  // partition, so the same query does *different* work on each leaf. This is
+  // what makes the MLA see a max over independent leaf latencies [15].
+  q.rng = Rng(work.seed ^ (seed_ * 0x9e3779b97f4a7c15ULL));
   ChunkSlot fresh;
   fresh.attempts = config_.chunk_retry.enabled ? 1 : 0;
   q.chunks.assign(static_cast<size_t>(work.fanout), fresh);
@@ -154,26 +129,10 @@ bool IndexServer::ExpireIfOverdue(QueryState& q) {
   // Server-side shedding: once a query is past its deadline, further work is
   // wasted; the paper observes that heavy drops *reduce* primary CPU
   // utilization (§6.1.2), which implies abandoned processing.
-  const SimTime now = machine_->sim()->Now();
-  if (now - q.arrival <= config_.timeout) {
+  if (machine_->sim()->Now() - q.arrival <= config_.timeout) {
     return false;
   }
-  ++stats_.dropped_timeout;
-  QueryResult result;
-  result.id = q.work.id;
-  result.submit_time = q.arrival;
-  result.finish_time = now;
-  result.latency_ms = ToMillis(now - q.arrival);
-  result.dropped = true;
-  const bool owns_trace = q.owns_trace;
-  const uint64_t trace_ctx = q.trace_ctx;
-  QueryDoneFn done = Release(q);
-  if (done) {
-    done(result);
-  }
-  if (owns_trace) {
-    tracer_->EndTrace(trace_ctx, now, /*dropped=*/true);
-  }
+  Terminate(q, Outcome::kTimedOut);
   return true;
 }
 
@@ -229,7 +188,6 @@ void IndexServer::MaybeDegrade(QueryState& q) {
   }
   q.fanout_closed = true;
   q.degraded = true;
-  q.chunks_served_at_close = served;
   // The open attempts are abandoned: their timers leave the event queue and
   // late completions are ignored by the fanout_closed guard.
   q.CancelTimers(machine_->sim());
@@ -453,43 +411,60 @@ void IndexServer::FinishQuery(QueryState& q) {
     return;
   }
   AppendLog(q);
-  CompleteNow(q);
+  Terminate(q, Outcome::kCompleted);
 }
 
-void IndexServer::CompleteNow(QueryState& q) {
+void IndexServer::Terminate(QueryState& q, Outcome outcome) {
+  const SimTime now = machine_->sim()->Now();
   QueryResult result;
   result.id = q.work.id;
   result.submit_time = q.arrival;
-  result.finish_time = machine_->sim()->Now();
-  const SimDuration latency = result.finish_time - q.arrival;
-  result.latency_ms = ToMillis(latency);
-  result.dropped = latency > config_.timeout;
+  result.finish_time = now;
+  result.latency_ms = ToMillis(now - q.arrival);
+  result.dropped = outcome != Outcome::kCompleted || now - q.arrival > config_.timeout;
+  // After a degrade closes the fan-out, late chunks no longer count down
+  // chunks_left, so this is the coverage at close for degraded queries too.
   result.chunks_total = q.work.fanout;
-  result.chunks_served = q.fanout_closed ? q.chunks_served_at_close : q.work.fanout;
+  result.chunks_served = q.work.fanout - q.chunks_left;
   result.degraded = q.degraded;
   const bool owns_trace = q.owns_trace;
   const uint64_t trace_ctx = q.trace_ctx;
   QueryDoneFn done = Release(q);
-  if (crashed_) {
-    // Invariant violation recorded for the checker: a crashed server must not
-    // deliver completions (Crash() fails every live query first).
-    ++stats_.completions_while_crashed;
+  switch (outcome) {
+    case Outcome::kCompleted:
+      if (crashed_) {
+        // Invariant violation recorded for the checker: a crashed server must
+        // not deliver completions (Crash() fails every live query first).
+        ++stats_.completions_while_crashed;
+      }
+      // Network send path (OS tenant).
+      machine_->SpawnThread(TenantClass::kOs, JobId{}, ScaledUs(config_.send_cpu_us, 1.0),
+                            nullptr);
+      if (result.dropped) {
+        ++stats_.dropped_timeout;
+      } else {
+        ++stats_.completed;
+        stats_.latency_ms.Add(result.latency_ms);
+        stats_.coverage.Add(result.Coverage());
+        if (result.degraded) {
+          ++stats_.completed_degraded;
+        }
+      }
+      break;
+    case Outcome::kTimedOut:
+      ++stats_.dropped_timeout;
+      break;
+    case Outcome::kRejected:
+      ++stats_.dropped_admission;
+      break;
+    case Outcome::kCrashed:
+      ++stats_.dropped_crash;
+      break;
   }
-  // Network send path (OS tenant).
-  machine_->SpawnThread(TenantClass::kOs, JobId{}, ScaledUs(config_.send_cpu_us, 1.0), nullptr);
-
-  if (result.dropped) {
-    ++stats_.dropped_timeout;
-  } else {
-    ++stats_.completed;
-    stats_.latency_ms.Add(result.latency_ms);
-    stats_.coverage.Add(result.Coverage());
-    if (result.degraded) {
-      ++stats_.completed_degraded;
-    }
-  }
+  // A dropped trace still ends (zero-length for a rejected query), so every
+  // query appears in the summaries.
   if (owns_trace) {
-    tracer_->EndTrace(trace_ctx, result.finish_time, result.dropped);
+    tracer_->EndTrace(trace_ctx, now, result.dropped);
   }
   if (done) {
     done(result);
@@ -525,7 +500,7 @@ void IndexServer::MaybeFlushLog() {
         log_waiters_.pop_front();
         if (QueryState* q = Find(waiter)) {
           AppendLog(*q);
-          CompleteNow(*q);
+          Terminate(*q, Outcome::kCompleted);
         }
       }
     };
@@ -538,9 +513,8 @@ void IndexServer::Crash() {
     return;
   }
   crashed_ = true;
-  const SimTime now = machine_->sim()->Now();
   if (tracer_ != nullptr) {
-    tracer_->Instant("server.crash", track_, now);
+    tracer_->Instant("server.crash", track_, machine_->sim()->Now());
   }
   // Fail every live query exactly once, in admission order: conservation
   // moves each of them to dropped_crash. Snapshot the ids first — done
@@ -556,25 +530,8 @@ void IndexServer::Crash() {
     return queries_[a.slot].seq < queries_[b.slot].seq;
   });
   for (const QueryId id : live) {
-    QueryState* q = Find(id);
-    if (q == nullptr) {
-      continue;
-    }
-    ++stats_.dropped_crash;
-    if (q->owns_trace) {
-      tracer_->EndTrace(q->trace_ctx, now, /*dropped=*/true);
-    }
-    QueryResult result;
-    result.id = q->work.id;
-    result.submit_time = q->arrival;
-    result.finish_time = now;
-    result.latency_ms = ToMillis(now - q->arrival);
-    result.dropped = true;
-    result.chunks_total = q->work.fanout;
-    result.chunks_served = q->work.fanout - q->chunks_left;
-    QueryDoneFn done = Release(*q);
-    if (done) {
-      done(result);
+    if (QueryState* q = Find(id)) {
+      Terminate(*q, Outcome::kCrashed);
     }
   }
   // The log pipeline dies with the process: buffered bytes are lost and

@@ -255,7 +255,6 @@ class IndexServer {
     // completions are ignored from then on.
     bool fanout_closed = false;
     bool degraded = false;
-    int chunks_served_at_close = 0;
     int snippet_reads_left = 0;
     uint64_t trace_ctx = 0;
     bool owns_trace = false;  // minted here (standalone) vs adopted from the TLA
@@ -270,11 +269,16 @@ class IndexServer {
   // The live query `id` names, or nullptr if the id is stale (the query
   // completed, expired or crashed): a late callback's lookup is then a no-op.
   QueryState* Find(QueryId id);
-  // Terminal transition: cancels the query's timers, frees its slot and
-  // returns its completion callback. The caller must not touch `q` afterwards
-  // and invokes the callback last: a closed-loop client resubmits from it, so
-  // the table may grow during the call.
+  // Cancels the query's timers, frees its slot and returns its completion
+  // callback. Only Terminate calls it.
   QueryDoneFn Release(QueryState& q);
+  enum class Outcome { kCompleted, kTimedOut, kRejected, kCrashed };
+  // The one terminal transition of every query, admitted or refused: builds
+  // its result, counts the outcome, ends an owned trace, releases the slot
+  // and calls `done` last. A closed-loop client resubmits from `done`, so the
+  // table may grow during the call and `q` must not be touched afterwards.
+  // kCompleted still drops a query that finished past the client timeout.
+  void Terminate(QueryState& q, Outcome outcome);
   // Abandons the query if it is past its deadline; returns true if it did
   // (the slot is then released).
   bool ExpireIfOverdue(QueryState& q);
@@ -294,7 +298,6 @@ class IndexServer {
   // Issues one dependent snippet read; its completion submits the next.
   void SubmitSnippetRead(QueryState& q);
   void FinishQuery(QueryState& q);
-  void CompleteNow(QueryState& q);
   void AppendLog(const QueryState& q);
   void MaybeFlushLog();
 
@@ -304,7 +307,6 @@ class IndexServer {
   Tracer* tracer_ = nullptr;
   int32_t track_ = Tracer::kNoTrack;
   IndexServeConfig config_;
-  Rng rng_;
   uint64_t seed_;
   JobId job_;
   Stats stats_;

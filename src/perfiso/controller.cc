@@ -15,9 +15,8 @@ Status PerfIsoController::Initialize() {
   PERFISO_RETURN_IF_ERROR(config_.Validate(platform_->NumCores()));
   initialized_ = true;
   if (!config_.io_limits.empty()) {
-    io_throttler_ = std::make_unique<IoThrottler>(
-        platform_, config_.io_limits,
-        IoThrottler::Options{config_.io_window_polls, 0.5, 0.0});
+    io_throttler_ =
+        std::make_unique<IoThrottler>(platform_, config_.io_limits, config_.io_window_polls);
     if (tracer_ != nullptr) {
       io_throttler_->EnableTracing(tracer_, track_);
     }

@@ -7,12 +7,19 @@
 
 namespace perfiso {
 
+namespace {
+// A process whose deficit is above this is demoted one band; below
+// kPromoteDeficit it is promoted back toward its base band.
+constexpr double kDemoteDeficit = 0.5;
+constexpr double kPromoteDeficit = 0.0;
+}  // namespace
+
 IoThrottler::IoThrottler(Platform* platform, const std::vector<IoOwnerLimit>& limits,
-                         Options options)
-    : platform_(platform), options_(options) {
+                         int window_polls)
+    : platform_(platform) {
   assert(platform_ != nullptr);
   for (const IoOwnerLimit& limit : limits) {
-    owners_.emplace(limit.owner, OwnerState(limit, options_.window_polls));
+    owners_.emplace(limit.owner, OwnerState(limit, window_polls));
     total_weight_ += limit.weight;
   }
 }
@@ -70,9 +77,9 @@ void IoThrottler::Poll(SimTime now) {
     state.deficit = (curr_i - entitlement) / entitlement;
 
     int desired = state.current_priority;
-    if (state.deficit > options_.demote_deficit) {
+    if (state.deficit > kDemoteDeficit) {
       desired = std::min(state.current_priority + 1, 2);
-    } else if (state.deficit < options_.promote_deficit) {
+    } else if (state.deficit < kPromoteDeficit) {
       desired = std::max(state.current_priority - 1, state.limit.priority);
     }
     if (desired != state.current_priority) {

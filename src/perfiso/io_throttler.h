@@ -28,13 +28,8 @@ namespace perfiso {
 
 class IoThrottler {
  public:
-  struct Options {
-    int window_polls = 16;       // Δ, in polls
-    double demote_deficit = 0.5; // deficit above which a process is demoted
-    double promote_deficit = 0.0;  // deficit below which it is promoted back
-  };
-
-  IoThrottler(Platform* platform, const std::vector<IoOwnerLimit>& limits, Options options);
+  // `window_polls` is Δ, in polls.
+  IoThrottler(Platform* platform, const std::vector<IoOwnerLimit>& limits, int window_polls);
 
   // Applies the static limits (bandwidth/IOPS caps, base priorities).
   Status ApplyStaticLimits();
@@ -68,7 +63,6 @@ class IoThrottler {
   };
 
   Platform* platform_;
-  Options options_;
   Tracer* tracer_ = nullptr;
   int32_t track_ = Tracer::kNoTrack;
   std::map<int, OwnerState> owners_;

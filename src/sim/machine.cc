@@ -34,6 +34,13 @@ SimMachine::SimMachine(Simulator* sim, const MachineSpec& spec, std::string name
 
 // --- Job objects -------------------------------------------------------------
 
+Status SimMachine::CheckJob(JobId job_id) const {
+  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
+    return InvalidArgumentError("no such job");
+  }
+  return OkStatus();
+}
+
 JobId SimMachine::CreateJob(const std::string& job_name) {
   Job job;
   job.name = job_name;
@@ -44,9 +51,7 @@ JobId SimMachine::CreateJob(const std::string& job_name) {
 }
 
 Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   Job& job = jobs_[static_cast<size_t>(job_id.value)];
   if (!job.live) {
     return FailedPreconditionError("job is dead: " + job.name);
@@ -68,13 +73,9 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
     Thread& t = threads_[static_cast<size_t>(tid)];
     const CpuSet& eff = EffectiveAffinity(t);
     if (t.state == Thread::State::kRunning && !eff.Test(t.core)) {
-      ChargeRun(t);
-      sim_->CancelOwned(t.slice_event);
-      ++metrics_.preemptions;
-      NoteStopRunning(t);
-      cores_[static_cast<size_t>(t.core)].running = -1;
-      freed_cores.push_back(t.core);
-      t.state = Thread::State::kReady;
+      // Unlike the other preemptions, this one leaves ready_since where it
+      // was. Work stealing orders by it, so the quirk is kept as is.
+      freed_cores.push_back(Preempt(t));
       t.core = -1;
       displaced.push_back(tid);
     } else if (t.state == Thread::State::kReady && t.queued && !eff.Test(t.core)) {
@@ -89,9 +90,7 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
     MakeReady(tid);
   }
   for (int core : freed_cores) {
-    if (cores_[static_cast<size_t>(core)].running < 0) {
-      DispatchNext(core);
-    }
+    RefillCore(core);
   }
   // If the mask grew, idle cores inside it may now be able to serve queued
   // threads of this job (via stealing in DispatchNext).
@@ -100,16 +99,12 @@ Status SimMachine::SetJobAffinity(JobId job_id, const CpuSet& mask) {
 }
 
 StatusOr<CpuSet> SimMachine::JobAffinity(JobId job_id) const {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   return jobs_[static_cast<size_t>(job_id.value)].affinity;
 }
 
 Status SimMachine::SetJobCpuRateCap(JobId job_id, double fraction) {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   if (fraction > 1.0) {
     return InvalidArgumentError("rate cap must be <= 1.0");
   }
@@ -129,9 +124,7 @@ Status SimMachine::SetJobCpuRateCap(JobId job_id, double fraction) {
 }
 
 Status SimMachine::KillJob(JobId job_id) {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   Job& job = jobs_[static_cast<size_t>(job_id.value)];
   const std::vector<int> victims = job.threads;  // KillThread mutates the list
   for (int tid : victims) {
@@ -146,34 +139,20 @@ Status SimMachine::KillJob(JobId job_id) {
 }
 
 StatusOr<SimDuration> SimMachine::JobCpuTime(JobId job_id) const {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   // Include the in-flight portion of currently-running slices so progress
   // reads are exact at any instant.
   const Job& job = jobs_[static_cast<size_t>(job_id.value)];
-  SimDuration total = job.cpu_time;
-  for (int tid : job.threads) {
-    const Thread& t = threads_[static_cast<size_t>(tid)];
-    if (t.state == Thread::State::kRunning) {
-      const SimDuration elapsed = sim_->Now() - t.slice_start;
-      total += std::max<SimDuration>(0, elapsed - t.slice_overhead);
-    }
-  }
-  return total;
+  return job.cpu_time + InflightWork(job);
 }
 
 StatusOr<int> SimMachine::JobLiveThreads(JobId job_id) const {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   return static_cast<int>(jobs_[static_cast<size_t>(job_id.value)].threads.size());
 }
 
 Status SimMachine::AddJobMemory(JobId job_id, int64_t delta_bytes) {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   Job& job = jobs_[static_cast<size_t>(job_id.value)];
   if (job.memory_bytes + delta_bytes < 0) {
     return InvalidArgumentError("job memory would go negative");
@@ -184,9 +163,7 @@ Status SimMachine::AddJobMemory(JobId job_id, int64_t delta_bytes) {
 }
 
 StatusOr<int64_t> SimMachine::JobMemory(JobId job_id) const {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   return jobs_[static_cast<size_t>(job_id.value)].memory_bytes;
 }
 
@@ -256,8 +233,8 @@ Status SimMachine::KillThread(ThreadId tid) {
     RemoveFromQueue(t, tid.value);
   }
   FinishThread(tid.value, /*run_callback=*/false);
-  if (freed_core >= 0 && cores_[static_cast<size_t>(freed_core)].running < 0) {
-    DispatchNext(freed_core);
+  if (freed_core >= 0) {
+    RefillCore(freed_core);
   }
   return OkStatus();
 }
@@ -298,9 +275,7 @@ bool SimMachine::JobDispatchable(const Thread& t) const {
 }
 
 Status SimMachine::SetJobSuspended(JobId job_id, bool suspended) {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   Job& job = jobs_[static_cast<size_t>(job_id.value)];
   if (!job.live) {
     return FailedPreconditionError("job is dead: " + job.name);
@@ -310,54 +285,18 @@ Status SimMachine::SetJobSuspended(JobId job_id, bool suspended) {
   }
   job.suspended = suspended;
   if (suspended) {
-    // Preempt running threads; they stay queued until resume.
-    std::vector<int> freed_cores;
-    for (int tid : job.threads) {
-      Thread& t = threads_[static_cast<size_t>(tid)];
-      if (t.state != Thread::State::kRunning) {
-        continue;
-      }
-      ChargeRun(t);
-      sim_->CancelOwned(t.slice_event);
-      ++metrics_.preemptions;
-      NoteStopRunning(t);
-      const int core = t.core;
-      cores_[static_cast<size_t>(core)].running = -1;
-      freed_cores.push_back(core);
-      t.state = Thread::State::kReady;
-      t.ready_since = sim_->Now();
-      Enqueue(core, tid);
-    }
-    for (int core : freed_cores) {
-      if (cores_[static_cast<size_t>(core)].running < 0) {
-        idle_mask_.Set(core);
-        DispatchNext(core);
-      }
+    // Running threads stay queued on their cores until resume.
+    for (int core : PreemptJob(job)) {
+      RefillCore(core);
     }
   } else {
-    // Re-place ready threads onto idle cores inside the job's mask.
-    for (int tid : std::vector<int>(job.threads)) {
-      Thread& t = threads_[static_cast<size_t>(tid)];
-      if (t.state != Thread::State::kReady || !JobDispatchable(t)) {
-        continue;
-      }
-      const int idle_core = PickIdleCore(EffectiveAffinity(t), -1);
-      if (idle_core < 0) {
-        continue;
-      }
-      if (t.queued) {
-        RemoveFromQueue(t, tid);
-      }
-      Dispatch(idle_core, tid, /*context_switch=*/true);
-    }
+    PlaceReadyThreads(job);
   }
   return OkStatus();
 }
 
 StatusOr<bool> SimMachine::JobSuspended(JobId job_id) const {
-  if (!job_id.valid() || job_id.value >= static_cast<int>(jobs_.size())) {
-    return InvalidArgumentError("no such job");
-  }
+  PERFISO_RETURN_IF_ERROR(CheckJob(job_id));
   return jobs_[static_cast<size_t>(job_id.value)].suspended;
 }
 
@@ -602,9 +541,7 @@ void SimMachine::OnSliceEnd(int core, int tid) {
     cores_[static_cast<size_t>(core)].running = -1;
     idle_mask_.Set(core);
     FinishThread(tid, /*run_callback=*/true);
-    if (cores_[static_cast<size_t>(core)].running < 0) {
-      DispatchNext(core);
-    }
+    RefillCore(core);
     return;
   }
 
@@ -619,13 +556,8 @@ void SimMachine::OnSliceEnd(int core, int tid) {
     }
   }
   if (waiter_exists) {
-    ++metrics_.preemptions;
-    NoteStopRunning(t);
-    t.state = Thread::State::kReady;
-    t.ready_since = sim_->Now();
-    c.running = -1;
-    Enqueue(core, tid);
-    DispatchNext(core);
+    PreemptToQueue(tid);
+    RefillCore(core);
   } else {
     Dispatch(core, tid, /*context_switch=*/false);  // fresh quantum, no switch cost
   }
@@ -717,33 +649,16 @@ void SimMachine::ThrottleJob(int job_id) {
   }
   job.throttled = true;
   sim_->CancelOwned(job.exhaust_event);  // budget checks are moot while throttled
-  std::vector<int> freed_cores;
-  for (int tid : job.threads) {
-    Thread& t = threads_[static_cast<size_t>(tid)];
-    if (t.state != Thread::State::kRunning) {
-      continue;
-    }
-    ChargeRun(t);
-    sim_->CancelOwned(t.slice_event);
-    ++metrics_.preemptions;
-    NoteStopRunning(t);
-    const int core = t.core;
-    cores_[static_cast<size_t>(core)].running = -1;
-    freed_cores.push_back(core);
-    t.state = Thread::State::kReady;
-    t.ready_since = sim_->Now();
-    Enqueue(core, tid);
-  }
+  const std::vector<int> freed_cores = PreemptJob(job);
+  // Armed before the freed cores redispatch: capped slices end on this same
+  // interval boundary, and same-time events run in scheduling order.
   if (!sim_->Pending(job.unthrottle_event)) {
     const SimTime boundary =
         (sim_->Now() / spec_.throttle_interval + 1) * spec_.throttle_interval;
     job.unthrottle_event = sim_->Schedule(boundary, [this, job_id] { UnthrottleJob(job_id); });
   }
   for (int core : freed_cores) {
-    if (cores_[static_cast<size_t>(core)].running < 0) {
-      idle_mask_.Set(core);
-      DispatchNext(core);
-    }
+    RefillCore(core);
   }
 }
 
@@ -758,15 +673,52 @@ void SimMachine::UnthrottleJob(int job_id) {
   if (!job.live) {
     return;
   }
-  // Budget resets lazily via RateBudgetLeft. Re-place ready threads onto idle
-  // cores; threads queued behind busy cores keep waiting there.
-  for (int tid : std::vector<int>(job.threads)) {
+  PlaceReadyThreads(job);  // the budget resets lazily via RateBudgetLeft
+}
+
+int SimMachine::Preempt(Thread& t) {
+  ChargeRun(t);
+  sim_->CancelOwned(t.slice_event);
+  ++metrics_.preemptions;
+  NoteStopRunning(t);
+  const int core = t.core;
+  cores_[static_cast<size_t>(core)].running = -1;
+  t.state = Thread::State::kReady;
+  return core;
+}
+
+int SimMachine::PreemptToQueue(int tid) {
+  Thread& t = threads_[static_cast<size_t>(tid)];
+  const int core = Preempt(t);
+  t.ready_since = sim_->Now();
+  Enqueue(core, tid);
+  return core;
+}
+
+std::vector<int> SimMachine::PreemptJob(const Job& job) {
+  std::vector<int> freed_cores;
+  for (int tid : job.threads) {
+    if (threads_[static_cast<size_t>(tid)].state == Thread::State::kRunning) {
+      freed_cores.push_back(PreemptToQueue(tid));
+    }
+  }
+  return freed_cores;
+}
+
+void SimMachine::RefillCore(int core) {
+  if (cores_[static_cast<size_t>(core)].running < 0) {
+    idle_mask_.Set(core);
+    DispatchNext(core);
+  }
+}
+
+void SimMachine::PlaceReadyThreads(const Job& job) {
+  for (int tid : job.threads) {
     Thread& t = threads_[static_cast<size_t>(tid)];
     if (t.state != Thread::State::kReady || !JobDispatchable(t)) {
       continue;
     }
-    const CpuSet& eff = EffectiveAffinity(t);
-    const int idle_core = PickIdleCore(eff, -1);
+    const int idle_core = PickIdleCore(EffectiveAffinity(t), -1);
     if (idle_core < 0) {
       continue;  // other threads may have wider masks
     }
@@ -788,7 +740,6 @@ void SimMachine::KickIdleCores(const CpuSet& mask) {
 void SimMachine::FinishThread(int tid, bool run_callback) {
   Thread& t = threads_[static_cast<size_t>(tid)];
   sim_->CancelOwned(t.slice_event);  // no-op on the completion path (already fired + cleared)
-  t.state = Thread::State::kFinished;
   if (t.job >= 0) {
     // Swap-with-back removal: the resulting order of `threads` feeds the
     // affinity, suspend and throttle loops, so it must stay exactly this.

@@ -204,7 +204,7 @@ class SimMachine {
   struct Thread {
     TenantClass tenant = TenantClass::kPrimary;
     int job = -1;
-    enum class State { kFree, kReady, kRunning, kFinished } state = State::kFree;
+    enum class State { kFree, kReady, kRunning } state = State::kFree;
     SimDuration remaining = 0;
     bool loop = false;  // unbounded work
     CompletionFn on_complete;
@@ -249,6 +249,9 @@ class SimMachine {
     std::deque<int> ready;
   };
 
+  // InvalidArgument unless `job_id` names a job: the one check every public
+  // job method starts with.
+  Status CheckJob(JobId job_id) const;
   // Cores a thread may run on: its job's mask, or every core if unmanaged.
   const CpuSet& EffectiveAffinity(const Thread& t) const;
   bool JobDispatchable(const Thread& t) const;  // job not throttled / over budget
@@ -273,12 +276,27 @@ class SimMachine {
   // maintains the job's running-thread count for rate-cap math.
   void NoteStopRunning(Thread& t);
   void RemoveFromQueue(Thread& t, int tid);
+  // The one way a running thread stops short of finishing: settles its CPU,
+  // cancels its slice and marks it ready. Its core is left free but not yet
+  // idle; the caller re-places both. Returns that core.
+  int Preempt(Thread& t);
+  // Preempt, then park the thread at the back of its core's queue.
+  int PreemptToQueue(int tid);
+  // PreemptToQueue on every running thread of `job`; returns the freed cores.
+  std::vector<int> PreemptJob(const Job& job);
+  // Marks a freed core idle and dispatches onto it, unless something already
+  // took it.
+  void RefillCore(int core);
+  // Resume step: dispatches the job's dispatchable ready threads onto idle
+  // cores in its mask; threads queued behind busy cores keep waiting there.
+  void PlaceReadyThreads(const Job& job);
   void ThrottleJob(int job_id);
   void UnthrottleJob(int job_id);
+  // CPU the job's running slices have consumed but not yet charged.
+  SimDuration InflightWork(const Job& job) const;
   // Rate-cap machinery: usage is consumed at `running_count` ns of budget per
   // ns of real time, so exhaustion is predictable exactly. These maintain a
   // single pending "budget exhausted" event per capped job.
-  SimDuration InflightWork(const Job& job) const;
   void ScheduleExhaustCheck(int job_id);
   void OnExhaustCheck(int job_id);
   void KickIdleCores(const CpuSet& mask);

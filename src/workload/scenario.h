@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 
+#include "src/cluster/topology.h"
 #include "src/fault/fault_plan.h"
 #include "src/obs/obs.h"
 #include "src/perfiso/perfiso_config.h"
@@ -47,14 +48,6 @@ struct TenantMixSpec {
   bool hdfs_client = false;
   bool ml_training = false;
   int ml_worker_threads = 48;
-};
-
-// Cluster shape. columns == 0 selects the single-box rigs of Figs. 4-8;
-// columns > 0 selects the TLA/MLA cluster of Figs. 9-10.
-struct TopologySpec {
-  int columns = 0;
-  int rows = 2;
-  int tla_machines = 2;
 };
 
 // Closed-loop client parameters (ignored for kOpenLoop).

@@ -119,7 +119,7 @@ struct ClusterDigest {
 ClusterDigest RunFig09Style() {
   Simulator sim;
   ClusterOptions options;
-  options.topology = ClusterTopology{2, 1, 2};
+  options.topology = TopologySpec{2, 1, 2};
   Cluster cluster(&sim, options);
   cluster.ForEachIndexNode([&](IndexNodeRig& node) {
     node.StartHdfsClient(HdfsClient::Options{});

@@ -9,7 +9,7 @@ namespace {
 
 ClusterOptions SmallCluster() {
   ClusterOptions options;
-  options.topology = ClusterTopology{4, 2, 2};
+  options.topology = TopologySpec{4, 2, 2};
   return options;
 }
 
@@ -77,7 +77,7 @@ TEST(ClusterTest, SlowestLeafDictatesResponseTime) {
   // With one row and N columns, TLA latency tracks the max leaf latency.
   Simulator sim;
   ClusterOptions options;
-  options.topology = ClusterTopology{6, 1, 1};
+  options.topology = TopologySpec{6, 1, 1};
   Cluster cluster(&sim, options);
   Rng rng(3);
   auto trace = GenerateTrace(TraceSpec{}, 40, &rng);
@@ -152,7 +152,7 @@ TEST(ClusterTest, FabricRoutedLatencyWithinFig09ReferenceTolerance) {
   // tolerances are anchored to the paper's ~16 ms TLA P99 at this scale).
   Simulator sim;
   ClusterOptions options;
-  options.topology = ClusterTopology{4, 1, 2};
+  options.topology = TopologySpec{4, 1, 2};
   Cluster cluster(&sim, options);
   cluster.ForEachIndexNode(
       [&](IndexNodeRig& node) { node.StartHdfsClient(HdfsClient::Options{}); });
@@ -178,7 +178,7 @@ TEST(ClusterTest, EgressCapRestoresTailUnderNetworkBully) {
   auto run = [](bool bully, double egress_cap) {
     Simulator sim;
     ClusterOptions options;
-    options.topology = ClusterTopology{4, 1, 1};
+    options.topology = TopologySpec{4, 1, 1};
     Cluster cluster(&sim, options);
     if (bully) {
       for (int i = 0; i < cluster.NumIndexNodes(); ++i) {
@@ -219,7 +219,7 @@ TEST(ClusterTest, PerfIsoOnEveryNodeProtectsClusterTail) {
   auto run = [](bool bully) {
     Simulator sim;
     ClusterOptions options;
-    options.topology = ClusterTopology{4, 1, 1};
+    options.topology = TopologySpec{4, 1, 1};
     Cluster cluster(&sim, options);
     if (bully) {
       cluster.ForEachIndexNode([&](IndexNodeRig& node) {

@@ -78,7 +78,7 @@ TEST(FaultFuzzTest, RandomPlansHoldInvariantsOnCluster) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Simulator sim;
     ClusterOptions options;
-    options.topology = ClusterTopology{2, 2, 1};
+    options.topology = TopologySpec{2, 2, 1};
     Cluster cluster(&sim, options);
     const FaultPlan plan = FaultPlan::Sample(seed, cluster.NumIndexNodes(),
                                              /*horizon_sec=*/2.0);

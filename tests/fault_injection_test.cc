@@ -319,7 +319,7 @@ TEST(FaultInjectionTest, DestructionCancelsPendingFaults) {
 TEST(FaultInjectionTest, ClusterCrashKeepsRoutingViewInSync) {
   Simulator sim;
   ClusterOptions options;
-  options.topology = ClusterTopology{3, 2, 1};
+  options.topology = TopologySpec{3, 2, 1};
   Cluster cluster(&sim, options);
   FaultPlan plan;
   plan.enabled = true;

@@ -83,6 +83,32 @@ TEST(IndexServerTest, AdmissionControlRejectsWhenSaturated) {
   EXPECT_EQ(rig.server().stats().completed, 1);
 }
 
+// Every drop reports the whole fan-out as chunks_total and the chunks that
+// answered as chunks_served, so a query shed before its fan-out reads zero
+// coverage rather than full coverage.
+TEST(IndexServerTest, DropsReportTheChunksThatAnswered) {
+  Simulator sim;
+  IndexNodeOptions options;
+  options.indexserve.max_inflight = 1;
+  options.indexserve.timeout = FromMicros(100);  // expires at parse, before fan-out
+  IndexNodeRig rig(&sim, options, "m0");
+  std::map<uint64_t, QueryResult> results;
+  for (uint64_t id = 1; id <= 2; ++id) {
+    rig.server().SubmitQuery(MakeQuery(id, /*fanout=*/5),
+                             [&](const QueryResult& r) { results[r.id] = r; });
+  }
+  sim.RunUntil(kSecond);
+  ASSERT_EQ(rig.server().stats().dropped_timeout, 1);
+  ASSERT_EQ(rig.server().stats().dropped_admission, 1);
+  for (uint64_t id = 1; id <= 2; ++id) {
+    const QueryResult& r = results[id];
+    EXPECT_TRUE(r.dropped) << "query " << id;
+    EXPECT_EQ(r.chunks_total, 5) << "query " << id;
+    EXPECT_EQ(r.chunks_served, 0) << "query " << id;
+    EXPECT_EQ(r.Coverage(), 0.0) << "query " << id;
+  }
+}
+
 TEST(IndexServerTest, HedgingFiresForSlowChunks) {
   Simulator sim;
   IndexNodeOptions options;

@@ -58,7 +58,7 @@ std::vector<IoOwnerLimit> TwoOwners() {
 TEST(IoThrottlerTest, StaticLimitsApplied) {
   FakePlatform platform;
   std::vector<IoOwnerLimit> limits = {IoOwnerLimit{5, 60e6, 100, 2, 1.0, 0}};
-  IoThrottler throttler(&platform, limits, IoThrottler::Options{});
+  IoThrottler throttler(&platform, limits, /*window_polls=*/16);
   ASSERT_TRUE(throttler.ApplyStaticLimits().ok());
   EXPECT_DOUBLE_EQ(platform.bandwidth_caps_[5], 60e6);
   EXPECT_DOUBLE_EQ(platform.iops_caps_[5], 100);
@@ -67,7 +67,7 @@ TEST(IoThrottlerTest, StaticLimitsApplied) {
 
 TEST(IoThrottlerTest, ComputesDemandAsWeightedShare) {
   FakePlatform platform;
-  IoThrottler throttler(&platform, TwoOwners(), IoThrottler::Options{});
+  IoThrottler throttler(&platform, TwoOwners(), /*window_polls=*/16);
   throttler.Poll(platform.NowNs());  // baseline
   for (int i = 0; i < 4; ++i) {
     platform.Tick({{1, 1000}, {2, 100}});
@@ -81,7 +81,7 @@ TEST(IoThrottlerTest, ComputesDemandAsWeightedShare) {
 
 TEST(IoThrottlerTest, HogAboveGuaranteeGetsDemoted) {
   FakePlatform platform;
-  IoThrottler throttler(&platform, TwoOwners(), IoThrottler::Options{});
+  IoThrottler throttler(&platform, TwoOwners(), /*window_polls=*/16);
   ASSERT_TRUE(throttler.ApplyStaticLimits().ok());  // installs base priorities
   throttler.Poll(platform.NowNs());
   for (int i = 0; i < 4; ++i) {
@@ -99,9 +99,8 @@ TEST(IoThrottlerTest, HogAboveGuaranteeGetsDemoted) {
 
 TEST(IoThrottlerTest, DemotionRevertsWhenLoadDrops) {
   FakePlatform platform;
-  IoThrottler::Options options;
-  options.window_polls = 2;  // short memory so the revert is quick
-  IoThrottler throttler(&platform, TwoOwners(), options);
+  // A window of 2 polls: short memory so the revert is quick.
+  IoThrottler throttler(&platform, TwoOwners(), /*window_polls=*/2);
   throttler.Poll(platform.NowNs());
   for (int i = 0; i < 3; ++i) {
     platform.Tick({{1, 1000}, {2, 100}});
@@ -118,7 +117,7 @@ TEST(IoThrottlerTest, DemotionRevertsWhenLoadDrops) {
 
 TEST(IoThrottlerTest, NoMeasurementNoAdjustment) {
   FakePlatform platform;
-  IoThrottler throttler(&platform, TwoOwners(), IoThrottler::Options{});
+  IoThrottler throttler(&platform, TwoOwners(), /*window_polls=*/16);
   throttler.Poll(platform.NowNs());
   throttler.Poll(platform.NowNs());  // same timestamp: no window elapsed
   EXPECT_EQ(throttler.adjustments(), 0);
