@@ -102,7 +102,7 @@ void IndexServer::SubmitQuery(const QueryWork& work, QueryDoneFn done) {
     Terminate(q, Outcome::kCrashed);
     return;
   }
-  if (inflight_ > config_.max_inflight) {
+  if (inflight_ > config_.max_inflight) {  // inflight_ already counts this query
     Terminate(q, Outcome::kRejected);
     return;
   }
